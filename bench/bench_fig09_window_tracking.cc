@@ -11,12 +11,16 @@
 
 #include "exp/dumbbell.h"
 #include "exp/mode.h"
+#include "obs/flight_recorder.h"
 #include "stats/percentile.h"
 #include "stats/table.h"
 
 using namespace acdc;
 
 int main() {
+  // The computed window per ACK arrives as vSwitch 0's kWindowEnforced
+  // events; the listener sees each one before the small ring wraps.
+  obs::FlightRecorder rec(256);
   exp::DumbbellConfig dc;
   dc.scenario = exp::scenario_config_for(exp::Mode::kDctcp, 1500);
   exp::Dumbbell bell(dc);
@@ -38,15 +42,16 @@ int main() {
     double cwnd_mss;
   };
   std::vector<std::pair<double, Pair>> series;  // (seconds since start, windows)
-  vswitches[0]->attach_observability({.on_window = [&](const vswitch::FlowKey&,
-                                                       sim::Time t,
-                                                       std::int64_t rwnd) {
+  vswitches[0]->attach_observability({.recorder = &rec, .name = "vs0"});
+  const std::uint32_t vs0 = rec.register_source("vs0");
+  rec.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced || ev.source != vs0) return;
     if (conn0 == nullptr) return;
-    if (flow_start == sim::kNoTime) flow_start = t;
-    series.push_back({sim::to_seconds(t - flow_start),
-                      Pair{static_cast<double>(rwnd) / mss,
+    if (flow_start == sim::kNoTime) flow_start = ev.t;
+    series.push_back({sim::to_seconds(ev.t - flow_start),
+                      Pair{static_cast<double>(ev.a) / mss,
                            static_cast<double>(conn0->cwnd_bytes()) / mss}});
-  }});
+  });
 
   const tcp::TcpConfig tcp = exp::host_tcp_config(s, exp::Mode::kDctcp);
   std::vector<host::BulkApp*> apps;

@@ -10,12 +10,16 @@
 
 #include "exp/dumbbell.h"
 #include "exp/mode.h"
+#include "obs/flight_recorder.h"
 #include "stats/percentile.h"
 #include "stats/table.h"
 
 using namespace acdc;
 
 int main() {
+  // The enforced window per ACK arrives as vSwitch 0's kWindowEnforced
+  // events; the listener sees each one before the small ring wraps.
+  obs::FlightRecorder rec(256);
   exp::DumbbellConfig dc;
   dc.scenario = exp::scenario_config_for(exp::Mode::kAcdc, 1500);
   exp::Dumbbell bell(dc);
@@ -38,17 +42,18 @@ int main() {
   std::vector<Sample> series;
   std::int64_t limiting = 0;
   std::int64_t total = 0;
-  vswitches[0]->attach_observability({.on_window = [&](const vswitch::FlowKey&,
-                                                       sim::Time t,
-                                                       std::int64_t rwnd) {
+  vswitches[0]->attach_observability({.recorder = &rec, .name = "vs0"});
+  const std::uint32_t vs0 = rec.register_source("vs0");
+  rec.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced || ev.source != vs0) return;
     if (conn0 == nullptr) return;
-    if (flow_start == sim::kNoTime) flow_start = t;
+    if (flow_start == sim::kNoTime) flow_start = ev.t;
     const double cwnd = static_cast<double>(conn0->cwnd_bytes());
     ++total;
-    if (static_cast<double>(rwnd) < cwnd) ++limiting;
-    series.push_back({sim::to_seconds(t - flow_start),
-                      static_cast<double>(rwnd) / mss, cwnd / mss});
-  }});
+    if (static_cast<double>(ev.a) < cwnd) ++limiting;
+    series.push_back({sim::to_seconds(ev.t - flow_start),
+                      static_cast<double>(ev.a) / mss, cwnd / mss});
+  });
 
   const tcp::TcpConfig tcp = s.tcp_config(tcp::CcId::kCubic);
   std::vector<host::BulkApp*> apps;

@@ -309,14 +309,11 @@ int main(int argc, char** argv) {
                "  \"bench\": \"service_rps\",\n"
                "  \"service_sweep\": %d,\n",
                sweep ? 1 : 0);
-  // Unsuffixed keys always exist (the sweep mirrors its 10k arm there), so
-  // run_perf.sh reads one schema either way.
-  acdc::emit_arm(out, "", arm_cfgs[0], arm_results[0], !sweep);
-  if (sweep) {
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      acdc::emit_arm(out, arms[a].suffix, arm_cfgs[a], arm_results[a],
-                     a + 1 == arms.size());
-    }
+  // One key set per arm: unsuffixed for a single run, _10k/_100k/_1m for
+  // the sweep (run_perf.sh picks the schema by service_sweep).
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    acdc::emit_arm(out, arms[a].suffix, arm_cfgs[a], arm_results[a],
+                   a + 1 == arms.size());
   }
   std::fprintf(out, "}\n");
   if (out != stdout) std::fclose(out);

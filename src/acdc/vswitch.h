@@ -47,18 +47,15 @@ class AcdcVswitch : public net::DuplexFilter {
   // ingress_in()'s burst adapter); benches drive it directly.
   void process_burst(net::PacketPtr* packets, std::size_t count);
 
-  // Bundled observability wiring. One call replaces the old set_trace /
-  // register_metrics / set_window_observer trio so a vSwitch is instrumented
-  // atomically: trace events and metrics share `name`, and the legacy
-  // window callback is fed from the same emission point as the recorder's
-  // kWindowEnforced event (AcdcCore::emit_window_enforced).
+  // Bundled observability wiring: trace events and metrics share `name`, so
+  // a vSwitch is instrumented atomically. The computed window per processed
+  // ACK (Fig. 9/10 logging) is the recorder's kWindowEnforced event; watch
+  // it with FlightRecorder::add_listener, filtered on this vSwitch's source
+  // id (register_source(name) returns it).
   struct ObsHooks {
     obs::FlightRecorder* recorder = nullptr;  // nullptr = tracing off
     obs::MetricsRegistry* metrics = nullptr;  // nullptr = no metrics export
     std::string name = "acdc";  // trace-source name and metrics prefix
-    // Computed enforcement window per processed ACK (Fig. 9/10 logging).
-    // Empty = keep whatever callback is already installed.
-    std::function<void(const FlowKey&, sim::Time, std::int64_t)> on_window;
   };
   void attach_observability(ObsHooks hooks);
 

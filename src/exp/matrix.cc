@@ -64,7 +64,7 @@ CellResult run_service_cell(const MatrixConfig& mc, vswitch::VccKind cc,
   Scenario& s = fabric.scenario();
 
   if (mc.shards > 1) {
-    s.enable_parallel(mc.shards, mc.threads > 0 ? mc.threads : mc.shards);
+    s.enable_parallel(mc.shards, mc.threads);
   }
 
   std::vector<net::Switch*> switches;
@@ -203,11 +203,8 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
   Star star(sc);
   Scenario& s = star.scenario();
 
-  // threads == 0 means one per shard; enable_parallel treats a
-  // non-positive thread count as a serial fallback, so resolve it here.
-  if (mc.shards > 1) {
-    s.enable_parallel(mc.shards, mc.threads > 0 ? mc.threads : mc.shards);
-  }
+  // threads == 0 means one per shard, as in enable_parallel.
+  if (mc.shards > 1) s.enable_parallel(mc.shards, mc.threads);
 
   // INT telemetry on every hub egress port — on for every cell (not just
   // the telemetry-consuming CCs) so all columns run the same datapath and

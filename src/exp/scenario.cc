@@ -1,7 +1,6 @@
 #include "exp/scenario.h"
 
 #include <cassert>
-#include <cstdlib>
 
 #include "exp/partition.h"
 #include "net/packet.h"
@@ -168,15 +167,7 @@ sim::par::Mailbox* Scenario::mailbox_for(int src_shard, int dst_shard) {
 }
 
 PartitionReport Scenario::enable_parallel(int shards, int threads) {
-  ParallelOptions options;
-  options.shards = shards;
-  options.threads = threads;
-  return enable_parallel(options);
-}
-
-PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
-  const int shards = options.shards;
-  const int threads = options.threads > 0 ? options.threads : options.shards;
+  if (threads <= 0) threads = shards;
   assert(executor_ == nullptr && shard_sims_.empty() &&
          "enable_parallel may only be called once");
   assert(shard_recorders_.empty() &&
@@ -188,7 +179,7 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
   report_ = PartitionReport{};
   report_.host_shard.assign(hosts_.size(), 0);
   report_.switch_shard.assign(switches_.size(), 0);
-  if (shards <= 1 || threads <= 0) {
+  if (shards <= 1) {
     report_.fallback_reason = "fewer than two shards requested";
     return report_;
   }
@@ -279,8 +270,6 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
     cfg.pair_lookaheads.push_back({pl.src, pl.dst, pl.lookahead});
   }
   cfg.threads = threads;
-  cfg.per_neighbor_windows = options.per_neighbor_windows;
-  cfg.handoff_batch = options.handoff_batch;
   executor_ = std::make_unique<sim::par::ParallelExecutor>(std::move(cfg));
 
   report_.parallel = true;
@@ -531,19 +520,7 @@ obs::FlightRecorder& Scenario::enable_tracing(std::size_t ring_capacity,
       }
     }
   }
-  // ACDC_TRACE_TAPS=0 keeps the coarse control-plane events but masks the
-  // per-packet forensic taps (origin/enqueue/tx/deliver/...), which
-  // dominate event volume on busy fabrics.
-  const char* taps = std::getenv("ACDC_TRACE_TAPS");
-  const std::uint64_t mask =
-      (taps != nullptr && std::string(taps) == "0")
-          ? obs::FlightRecorder::kAllEvents &
-                ~obs::FlightRecorder::packet_tap_mask()
-          : obs::FlightRecorder::kAllEvents;
-  for (const auto& rec : shard_recorders_) {
-    rec->set_event_mask(mask);
-    rec->set_enabled(true);
-  }
+  for (const auto& rec : shard_recorders_) rec->set_enabled(true);
   return *shard_recorders_[0];
 }
 

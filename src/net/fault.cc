@@ -45,8 +45,9 @@ void FaultInjector::deliver(PacketPtr packet) {
     ++stats_.jittered;
     const sim::Time delay = static_cast<sim::Time>(
         rng_.uniform_int(1, config_.jitter_max));
-    Packet* raw = packet.release();
-    sim_->schedule(delay, [this, raw] { forward(PacketPtr(raw)); });
+    sim_->schedule(delay, [this, p = std::move(packet)]() mutable {
+      forward(std::move(p));
+    });
     return;
   }
   forward(std::move(packet));

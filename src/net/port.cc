@@ -81,7 +81,7 @@ void Port::start_transmission() {
     sojourn_ns_->record(sim_->now() - packet->enqueued_at);
   }
   if (trace_ != nullptr && trace_->enabled()) {
-    if (packet->uid != 0 && trace_->wants(obs::EventType::kPktTxStart)) {
+    if (packet->uid != 0) {
       trace_->emit(obs::EventType::kPktTxStart, [&](obs::TraceEvent& ev) {
         ev.t = sim_->now();
         ev.source = trace_source_;
@@ -114,15 +114,12 @@ void Port::start_transmission() {
     remote_peer_->deliver(packet.release(),
                           sim_->now() + tx + propagation_delay_, key);
   } else {
-    PacketSink* peer = peer_;
-    Packet* raw = packet.release();
-    sim_->schedule_keyed(tx + propagation_delay_, key, [peer, raw] {
-      if (peer != nullptr) {
-        peer->receive(PacketPtr(raw));
-      } else {
-        delete raw;
-      }
-    });
+    // The closure owns the packet, so an event destroyed unfired (scenario
+    // teardown mid-flight) returns it to the pool instead of leaking it.
+    sim_->schedule_keyed(tx + propagation_delay_, key,
+                         [peer = peer_, p = std::move(packet)]() mutable {
+                           if (peer != nullptr) peer->receive(std::move(p));
+                         });
   }
   sim_->schedule(tx, [this] { start_transmission(); });
   if (on_drain_) on_drain_();

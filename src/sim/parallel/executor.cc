@@ -33,12 +33,10 @@ constexpr int kStallSweeps = 2;
 ParallelExecutor::ParallelExecutor(Config config)
     : shards_(std::move(config.shards)),
       mailboxes_(std::move(config.mailboxes)),
-      lookahead_(config.lookahead),
       thread_count_(std::max(
           1, std::min(config.threads, static_cast<int>(shards_.size())))),
-      per_neighbor_windows_(config.per_neighbor_windows),
       barrier_(thread_count_) {
-  assert(lookahead_ > 0);
+  assert(config.lookahead > 0);
   assert(!shards_.empty());
 
   const std::size_t n = shards_.size();
@@ -52,17 +50,15 @@ ParallelExecutor::ParallelExecutor(Config config)
       static_cast<std::size_t>(thread_count_));
   mins_.resize(static_cast<std::size_t>(thread_count_));
 
-  const int batch = config.handoff_batch;
   for (Mailbox* mb : mailboxes_) {
     assert(mb->dst_shard() >= 0 && mb->dst_shard() < static_cast<int>(n));
     assert(mb->src_shard() >= 0 && mb->src_shard() < static_cast<int>(n));
-    mb->set_batch_depth(batch);
     inboxes_[static_cast<std::size_t>(mb->dst_shard())].push_back(mb);
     outboxes_[static_cast<std::size_t>(mb->src_shard())].push_back(mb);
 
     // Per-pair extracted lookahead, falling back to the global minimum for
     // pairs the analysis pass did not cover.
-    Time la = lookahead_;
+    Time la = config.lookahead;
     for (const PairLookahead& pl : config.pair_lookaheads) {
       if (pl.src == mb->src_shard() && pl.dst == mb->dst_shard()) {
         assert(pl.lookahead > 0);
@@ -99,13 +95,13 @@ ParallelExecutor::~ParallelExecutor() {
 }
 
 void ParallelExecutor::run_until(Time deadline) {
-  // Mail produced outside the loops — workload construction before the first
+  // Mail produced outside the loop — workload construction before the first
   // round, scenario code running between rounds — bypasses the end-of-window
   // flushes, which only happen inside a round. Publish it before any thread
-  // drains: with batched handoffs such a send would otherwise sit in the
-  // producer buffer through the first drain, merge one window late, and lose
-  // its same-tick content-key order against the receiver's local events
-  // (batch depth must never change the merged stream). No thread is mid-round
+  // drains: such a send would otherwise sit in the producer buffer through
+  // the first drain, merge one window late, and lose its same-tick
+  // content-key order against the receiver's local events (where a burst
+  // splits must never change the merged stream). No thread is mid-round
   // here, so flushing every producer buffer from this thread is safe; the
   // lock below publishes the stores to the workers.
   for (Mailbox* mb : mailboxes_) mb->flush();
@@ -118,11 +114,7 @@ void ParallelExecutor::run_until(Time deadline) {
   // The caller's thread is worker 0; when it leaves the loop every other
   // worker has passed the final barrier of this round, so all shard state
   // is safe to read until the next run_until.
-  if (per_neighbor_windows_) {
-    round_loop(0, deadline);
-  } else {
-    epoch_loop(0, deadline);
-  }
+  round_loop(0, deadline);
 }
 
 void ParallelExecutor::worker_main(int tid) {
@@ -136,11 +128,7 @@ void ParallelExecutor::worker_main(int tid) {
       seen = round_;
       deadline = deadline_;
     }
-    if (per_neighbor_windows_) {
-      round_loop(tid, deadline);
-    } else {
-      epoch_loop(tid, deadline);
-    }
+    round_loop(tid, deadline);
   }
 }
 
@@ -377,58 +365,6 @@ void ParallelExecutor::round_loop(int tid, Time deadline) {
 #endif
       ts.idle_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
     }
-  }
-}
-
-void ParallelExecutor::epoch_loop(int tid, Time deadline) {
-  const auto t = static_cast<std::size_t>(tid);
-  const int n_shards = static_cast<int>(shards_.size());
-  ThreadStats& ts = thread_stats_[t];
-  std::uint64_t wait_ns = 0;
-  for (;;) {
-    // Drain phase: merge inbound mail, publish my earliest pending event.
-    Time local = kNoTime;
-    for (int s = tid; s < n_shards; s += thread_count_) {
-      const std::size_t drained = drain_shard(s);
-      if (drained > 0) {
-        ts.messages.fetch_add(drained, std::memory_order_relaxed);
-      }
-      local = merge_min(local,
-                        shards_[static_cast<std::size_t>(s)]->next_event_time());
-    }
-    mins_[t].v = local;
-    barrier_.arrive_and_wait_timed(&wait_ns);
-
-    // Every thread computes the identical global minimum.
-    Time global = kNoTime;
-    for (const PaddedTime& m : mins_) global = merge_min(global, m.v);
-
-    if (global == kNoTime || global > deadline) {
-      // Nothing left inside the window on any shard; catch every clock up
-      // to the deadline and finish the round.
-      for (int s = tid; s < n_shards; s += thread_count_) {
-        shards_[static_cast<std::size_t>(s)]->advance_to(deadline);
-      }
-      barrier_.arrive_and_wait_timed(&wait_ns);
-      ts.barrier_ns.fetch_add(wait_ns, std::memory_order_relaxed);
-      return;
-    }
-
-    // Process phase: the safe window is [global, global + lookahead) —
-    // clipped to the deadline (deadline events inclusive, as run_until).
-    Time window = global + lookahead_;
-    if (window > deadline) window = deadline + 1;
-    for (int s = tid; s < n_shards; s += thread_count_) {
-      Simulator* sim = shards_[static_cast<std::size_t>(s)];
-      sim->run_before(window);
-      // Sends buffered during the window must be visible to the next
-      // drain phase, which begins after the barrier below.
-      flush_outboxes(s);
-      clocks_[static_cast<std::size_t>(s)].executed.store(
-          sim->executed_events(), std::memory_order_relaxed);
-    }
-    if (tid == 0) ts.windows.fetch_add(1, std::memory_order_relaxed);
-    barrier_.arrive_and_wait_timed(&wait_ns);
   }
 }
 

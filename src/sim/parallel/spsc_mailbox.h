@@ -2,11 +2,10 @@
 //
 // A Mailbox is a lock-free unbounded single-producer/single-consumer queue
 // of CrossShardMsg, one per directed shard pair that shares at least one
-// link. The producer is the source shard's worker thread (ports push during
-// the epoch's processing phase); the consumer is the destination shard's
-// worker thread (the executor drains every inbox at the top of the next
-// epoch, after a barrier, so production and consumption never overlap a
-// message).
+// link. The producer is the source shard's worker thread (ports push while
+// the shard executes a window); the consumer is the destination shard's
+// worker thread (the executor drains every inbox at the top of the shard's
+// next visit).
 //
 // Determinism: each mailbox stamps messages with a producer-side sequence
 // number at send() time (before any batching), and the executor schedules
@@ -17,12 +16,11 @@
 // (see sim/event_queue.h) additionally makes the merged order match what the
 // serial engine would have produced for the same same-tick deliveries.
 //
-// Batching: set_batch_depth(n) buffers up to n messages producer-side and
+// Batching: send() buffers up to kHandoffBatch messages producer-side and
 // publishes them with push_burst — one release-store per ring node instead
 // of one per message. flush() force-publishes the pending tail; the executor
-// flushes every outbox before publishing its safe-time clock (per-neighbor
-// mode) or before the end-of-epoch barrier (legacy mode), so batching never
-// changes which messages are visible at a synchronization point.
+// flushes every outbox before publishing its safe-time clock, so batching
+// never changes which messages are visible at a synchronization point.
 #pragma once
 
 #include <atomic>
@@ -70,22 +68,6 @@ class SpscQueue {
       delete n;
       n = next;
     }
-  }
-
-  // Producer side only.
-  void push(const CrossShardMsg& msg) {
-    Node* t = tail_;
-    const std::size_t w = t->write.load(std::memory_order_relaxed);
-    if (w == kNodeCapacity) {
-      Node* n = new Node();
-      n->items[0] = msg;
-      n->write.store(1, std::memory_order_release);
-      t->next.store(n, std::memory_order_release);
-      tail_ = n;
-      return;
-    }
-    t->items[w] = msg;
-    t->write.store(w + 1, std::memory_order_release);
   }
 
   // Producer side only: appends `n` messages with one release-store per ring
@@ -156,8 +138,13 @@ class SpscQueue {
 // the per-mailbox sequence number used for deterministic merge ordering.
 class Mailbox {
  public:
+  // Sends buffered producer-side before one burst publish.
+  static constexpr std::size_t kHandoffBatch = 64;
+
   Mailbox(int src_shard, int dst_shard)
-      : src_shard_(src_shard), dst_shard_(dst_shard) {}
+      : src_shard_(src_shard), dst_shard_(dst_shard) {
+    pending_.reserve(kHandoffBatch);
+  }
 
   int src_shard() const { return src_shard_; }
   int dst_shard() const { return dst_shard_; }
@@ -177,25 +164,13 @@ class Mailbox {
     msg.dispose = dispose;
     msg.ctx = ctx;
     msg.payload = payload;
-    if (batch_depth_ <= 1) {
-      queue_.push(msg);
-      return;
-    }
     pending_.push_back(msg);
-    if (pending_.size() >= batch_depth_) flush();
-  }
-
-  // Producer side only: sets the handoff batch depth. Depth 1 publishes each
-  // send immediately (the pre-batching behavior); depth n buffers up to n
-  // messages and publishes them as one burst. Must be called before traffic.
-  void set_batch_depth(int depth) {
-    batch_depth_ = depth < 1 ? 1 : static_cast<std::size_t>(depth);
-    if (batch_depth_ > 1) pending_.reserve(batch_depth_);
+    if (pending_.size() >= kHandoffBatch) flush();
   }
 
   // Producer side only: publishes any buffered sends. The executor calls
-  // this before every safe-time publication / barrier so consumers always
-  // see the complete mail stream up to the producer's clock.
+  // this before every safe-time publication so consumers always see the
+  // complete mail stream up to the producer's clock.
   void flush() {
     if (pending_.empty()) return;
     queue_.push_burst(pending_.data(), pending_.size());
@@ -224,7 +199,6 @@ class Mailbox {
   int src_shard_;
   int dst_shard_;
   std::uint64_t next_seq_ = 0;  // producer-private
-  std::size_t batch_depth_ = 1;
   std::vector<CrossShardMsg> pending_;  // producer-private batch buffer
   SpscQueue queue_;
 };

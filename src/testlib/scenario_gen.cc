@@ -383,12 +383,7 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
   BuiltTopology topo = build_topology(plan, options);
   exp::Scenario& scenario = *topo.scenario;
   if (options.shards > 1) {
-    exp::ParallelOptions popts;
-    popts.shards = options.shards;
-    popts.threads = options.threads > 0 ? options.threads : options.shards;
-    popts.per_neighbor_windows = options.per_neighbor_windows;
-    if (options.handoff_batch > 0) popts.handoff_batch = options.handoff_batch;
-    scenario.enable_parallel(popts);
+    scenario.enable_parallel(options.shards, options.threads);
   }
   if (plan.int_telemetry) {
     // INT sampling at every switch egress port; samplers are per-port state

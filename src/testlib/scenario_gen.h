@@ -162,12 +162,6 @@ struct RunOptions {
   // different `threads` must produce identical digests.
   int shards = 0;
   int threads = 0;  // worker threads; 0 -> one per shard
-  // Parallel sync knobs (exp::ParallelOptions): per-neighbor safe-time
-  // windows vs the legacy global-barrier loop, and the cross-shard handoff
-  // batch depth (0 inherits the engine default). Digests must be identical
-  // for every combination.
-  bool per_neighbor_windows = true;
-  int handoff_batch = 0;
   // NIC rx-burst coalescing depth for every generated host. -1 inherits
   // the ScenarioConfig default; 1 forces the per-packet path; larger
   // values exercise the vSwitch burst pipeline under fuzz pressure.

@@ -164,15 +164,20 @@ TEST(AcdcVswitchTest, StripsCeBeforeReceiverVm) {
 TEST(AcdcVswitchTest, ObserverModeComputesButDoesNotEnforce) {
   AcdcConfig cfg;
   cfg.enforce = false;  // Fig. 9: log, don't overwrite
+  obs::FlightRecorder rec(256);
   AcdcPair net(cfg);
   net.tap_ab->mark_all_ = true;
   int window_logs = 0;
   std::int64_t last_window = 0;
-  net.vs_a->attach_observability(
-      {.on_window = [&](const FlowKey&, sim::Time, std::int64_t w) {
-        ++window_logs;
-        last_window = w;
-      }});
+  net.vs_a->attach_observability({.recorder = &rec, .name = "vs_a"});
+  const std::uint32_t vs_a = rec.register_source("vs_a");
+  rec.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced || ev.source != vs_a) {
+      return;
+    }
+    ++window_logs;
+    last_window = ev.a;
+  });
   TcpConnection* c = net.start_transfer(1'000'000, cubic_cfg());
   net.sim.run_until(sim::seconds(2));
   EXPECT_GT(window_logs, 0);

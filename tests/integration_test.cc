@@ -13,6 +13,7 @@
 #include "exp/mode.h"
 #include "exp/parking_lot.h"
 #include "exp/star.h"
+#include "obs/flight_recorder.h"
 #include "stats/percentile.h"
 
 namespace acdc {
@@ -111,6 +112,7 @@ TEST(DumbbellIntegrationTest, AcdcWorksWithEveryHostStack) {
 TEST(WindowTrackingIntegrationTest, AcdcRwndTracksDctcpCwnd) {
   // Fig. 9: host stack = DCTCP, AC/DC in observer mode logging its
   // computed window; both should stay close.
+  obs::FlightRecorder rec(256);  // outlives the vSwitch that records into it
   DumbbellConfig cfg;
   cfg.scenario = exp::scenario_config_for(Mode::kDctcp, 1500);
   Dumbbell bell(cfg);
@@ -124,16 +126,18 @@ TEST(WindowTrackingIntegrationTest, AcdcRwndTracksDctcpCwnd) {
   }
   auto vswitches = exp::apply_mode(s, hosts, Mode::kAcdc, observer);
 
-  // Collect (computed rwnd, host cwnd) sample pairs for sender 0's flow.
+  // Collect (computed rwnd, host cwnd) sample pairs for sender 0's flow
+  // from its vSwitch's kWindowEnforced events.
   stats::Sampler ratio;
   tcp::TcpConnection* conn0 = nullptr;
-  vswitches[0]->attach_observability(
-      {.on_window = [&](const vswitch::FlowKey&, sim::Time t,
-                        std::int64_t rwnd) {
-        if (conn0 == nullptr || t < sim::milliseconds(300)) return;
-        const double cwnd = static_cast<double>(conn0->cwnd_bytes());
-        if (cwnd > 0) ratio.add(static_cast<double>(rwnd) / cwnd);
-      }});
+  vswitches[0]->attach_observability({.recorder = &rec, .name = "vs0"});
+  const std::uint32_t vs0 = rec.register_source("vs0");
+  rec.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced || ev.source != vs0) return;
+    if (conn0 == nullptr || ev.t < sim::milliseconds(300)) return;
+    const double cwnd = static_cast<double>(conn0->cwnd_bytes());
+    if (cwnd > 0) ratio.add(static_cast<double>(ev.a) / cwnd);
+  });
 
   const tcp::TcpConfig tcp = exp::host_tcp_config(s, Mode::kDctcp);
   std::vector<host::BulkApp*> apps;

@@ -1,9 +1,12 @@
 // Packet-pool recycling tests: a recycled packet must come back in the
 // default-constructed state (no leaked ECN bits, TCP options, flags or
 // bookkeeping), the SACK small-vector must keep wire-legal blocks inline,
-// and pooling must be observable through PacketPool::stats().
+// pooling must be observable through PacketPool::stats(), and packets still
+// in flight when a scenario is destroyed must come back to the pool.
 #include <gtest/gtest.h>
 
+#include "exp/star.h"
+#include "net/fault.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "net/small_vec.h"
@@ -94,6 +97,42 @@ TEST(PacketPoolTest, SteadyStateReusesInsteadOfAllocating) {
   EXPECT_EQ(after.fresh_allocs, before.fresh_allocs);
   EXPECT_EQ(after.reuses - before.reuses, 1000);
   EXPECT_EQ(after.releases - before.releases, 1000);
+}
+
+// Runs 5 ms of an 8 MB CUBIC transfer across a 2-host AC/DC star, then
+// destroys the scenario mid-flow. Packets on the wire at that moment live
+// only in pending delivery events (port propagation, fault-injector
+// jitter); tearing the event queue down must release every one of them.
+void expect_teardown_returns_in_flight_packets(const FaultConfig& faults) {
+  const std::int64_t before = PacketPool::instance().live();
+  {
+    exp::StarConfig cfg;
+    cfg.hosts = 2;
+    cfg.scenario.link_faults = faults;
+    exp::Star star(cfg);
+    exp::Scenario& s = star.scenario();
+    s.attach_acdc(star.host(0), {});
+    s.attach_acdc(star.host(1), {});
+    s.add_bulk_flow(star.host(0), star.host(1),
+                    s.tcp_config(tcp::CcId::kCubic), /*start=*/0, 8 << 20);
+    s.run_until(sim::milliseconds(5));
+    ASSERT_GT(PacketPool::instance().live(), before) << "nothing in flight";
+    if (faults.jitter_p > 0) {
+      EXPECT_GT(s.fault_stats().jittered, 0);
+    }
+  }
+  EXPECT_EQ(PacketPool::instance().live(), before);
+}
+
+TEST(PacketPoolTest, TeardownReturnsInFlightPackets) {
+  expect_teardown_returns_in_flight_packets(FaultConfig{});
+}
+
+TEST(PacketPoolTest, TeardownReturnsJitterDelayedPackets) {
+  FaultConfig faults;
+  faults.jitter_p = 1.0;
+  faults.jitter_max = sim::microseconds(20);
+  expect_teardown_returns_in_flight_packets(faults);
 }
 
 TEST(PacketPoolTest, ClonePreservesContentAndReturnsPooledPacket) {

@@ -33,8 +33,11 @@ TEST(SpscMailboxTest, DeliversInOrderWithSequenceNumbers) {
     mb.send(sim::Time{i}, nullptr, nullptr, nullptr,
             reinterpret_cast<void*>(static_cast<std::intptr_t>(i)));
   }
+  // Full batches publish as they fill; flush() publishes the tail.
   std::vector<CrossShardMsg> got;
-  EXPECT_EQ(mb.drain(got), 1000u);
+  EXPECT_EQ(mb.drain(got), 1000u - 1000u % Mailbox::kHandoffBatch);
+  mb.flush();
+  EXPECT_EQ(mb.drain(got), 1000u % Mailbox::kHandoffBatch);
   ASSERT_EQ(got.size(), 1000u);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(got[static_cast<std::size_t>(i)].at, sim::Time{i});
@@ -43,6 +46,7 @@ TEST(SpscMailboxTest, DeliversInOrderWithSequenceNumbers) {
   }
   // Drained queue stays usable and sequence numbers keep rising.
   mb.send(7, nullptr, nullptr, nullptr, nullptr);
+  mb.flush();
   got.clear();
   EXPECT_EQ(mb.drain(got), 1u);
   EXPECT_EQ(got[0].seq, 1000u);
@@ -55,6 +59,7 @@ TEST(SpscMailboxTest, CrossThreadHandoff) {
     for (int i = 0; i < kMessages; ++i) {
       mb.send(sim::Time{i}, nullptr, nullptr, nullptr, nullptr);
     }
+    mb.flush();
   });
   std::vector<CrossShardMsg> got;
   while (got.size() < kMessages) mb.drain(got);

@@ -1,9 +1,10 @@
 // Property test for batched cross-shard handoffs: no matter how a mail
-// stream is split into producer-side bursts (batch depth, explicit flush
-// points, partial drains, ring-node boundaries), the drained messages and
-// their executor merge order — (at, key, src_shard, seq) via
-// mail_tie_seq — are byte-identical to the unbatched path. Batching is a
-// wall-clock optimization only; it must be invisible to the simulation.
+// stream is split into producer-side bursts (explicit flush points, the
+// mailbox's own full-batch publishes, partial drains, ring-node
+// boundaries), the drained messages and their executor merge order —
+// (at, key, src_shard, seq) via mail_tie_seq — are byte-identical to a
+// stream flushed after every send. Batching is a wall-clock optimization
+// only; it must be invisible to the simulation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,21 +63,22 @@ std::vector<PlannedSend> sample_stream(Rng& rng, int count) {
   return plan;
 }
 
-// Replays `plan` through a mailbox with the given batch depth, flushing at
-// the sampled cut points (random burst splits) and force-flushing the tail,
-// then drains. When `partial_drains` is set, drains are interleaved with the
-// sends — legal here because producer and consumer run on this one thread,
-// exactly like a single-threaded executor hosting both shards.
+// Replays `plan` through a mailbox, flushing after a send with probability
+// 1/flush_every (1: after every send, the reference stream; random burst
+// splits otherwise, on top of the mailbox's own full-batch publishes) and
+// force-flushing the tail, then drains. When `partial_drains` is set,
+// drains are interleaved with the sends — legal here because producer and
+// consumer run on this one thread, exactly like a single-threaded executor
+// hosting both shards.
 std::vector<CrossShardMsg> replay(const std::vector<PlannedSend>& plan,
-                                  int batch_depth, Rng& rng,
+                                  int flush_every, Rng& rng,
                                   bool partial_drains, int* tags) {
   Mailbox mb(/*src_shard=*/1, /*dst_shard=*/0);
-  mb.set_batch_depth(batch_depth);
   std::vector<CrossShardMsg> out;
   for (const PlannedSend& s : plan) {
     mb.send(s.at, s.key, &noop_deliver, &noop_dispose, nullptr,
             &tags[s.tag]);
-    if (rng.below(7) == 0) mb.flush();  // random extra burst boundaries
+    if (rng.below(static_cast<std::uint64_t>(flush_every)) == 0) mb.flush();
     if (partial_drains && rng.below(11) == 0) mb.drain(out);
   }
   mb.flush();
@@ -105,25 +107,27 @@ TEST(ParallelMailboxProperty, BurstSplitsNeverChangeDrainOrder) {
 
     Rng ref_rng{rng.state};
     const std::vector<CrossShardMsg> reference =
-        replay(plan, /*batch_depth=*/1, ref_rng, /*partial_drains=*/false,
+        replay(plan, /*flush_every=*/1, ref_rng, /*partial_drains=*/false,
                tags.data());
     ASSERT_EQ(reference.size(), plan.size());
 
-    for (int depth : {2, 8, 64, 300}) {
+    // 2 and 7 split bursts well below the batch; 1000 leaves nearly every
+    // publish to the mailbox's full-batch flush.
+    for (int every : {2, 7, 1000}) {
       for (bool partial : {false, true}) {
-        Rng run_rng{rng.state + static_cast<std::uint64_t>(depth) * 7919 +
+        Rng run_rng{rng.state + static_cast<std::uint64_t>(every) * 7919 +
                     (partial ? 1 : 0)};
         const std::vector<CrossShardMsg> got =
-            replay(plan, depth, run_rng, partial, tags.data());
+            replay(plan, every, run_rng, partial, tags.data());
         ASSERT_EQ(got.size(), reference.size())
-            << "depth=" << depth << " partial=" << partial;
+            << "flush_every=" << every << " partial=" << partial;
         for (std::size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].at, reference[i].at);
           EXPECT_EQ(got[i].key, reference[i].key);
           EXPECT_EQ(got[i].seq, reference[i].seq);
           EXPECT_EQ(tag_of(got[i]), tag_of(reference[i]))
-              << "message order diverged at index " << i << " (depth="
-              << depth << ", partial=" << partial << ")";
+              << "message order diverged at index " << i << " (flush_every="
+              << every << ", partial=" << partial << ")";
         }
       }
     }
@@ -134,8 +138,8 @@ TEST(ParallelMailboxProperty, MergedOrderAcrossMailboxesIsContentPure) {
   // Two producer mailboxes feeding one consumer, as two in-neighbors of a
   // shard. The executor merge key is (at, key, mail_tie_seq(src, seq));
   // sorting each run's drained mail by that key must yield the identical
-  // interleaving regardless of batch depth — the property the determinism
-  // contract rests on.
+  // interleaving regardless of where bursts split — the property the
+  // determinism contract rests on.
   constexpr int kTrials = 25;
   for (int trial = 0; trial < kTrials; ++trial) {
     Rng rng{testlib::test_seed(9500 + trial)};
@@ -149,14 +153,15 @@ TEST(ParallelMailboxProperty, MergedOrderAcrossMailboxesIsContentPure) {
     }
 
     using MergeKey = std::tuple<Time, std::uint64_t, std::uint64_t, int>;
-    auto merged = [&](int depth) {
-      Rng run_rng{rng.state ^ static_cast<std::uint64_t>(depth)};
+    auto merged = [&](int flush_every) {
+      Rng run_rng{rng.state ^ static_cast<std::uint64_t>(flush_every)};
       std::vector<std::pair<MergeKey, int>> rows;
       for (int src = 1; src <= 2; ++src) {
         const auto& plan = src == 1 ? plan_a : plan_b;
         int* tags = src == 1 ? tags_a.data() : tags_b.data();
         for (const CrossShardMsg& m :
-             replay(plan, depth, run_rng, /*partial_drains=*/true, tags)) {
+             replay(plan, flush_every, run_rng, /*partial_drains=*/true,
+                    tags)) {
           rows.emplace_back(MergeKey{m.at, m.key, merge_tie(m, src), src},
                             tag_of(m));
         }
@@ -172,8 +177,8 @@ TEST(ParallelMailboxProperty, MergedOrderAcrossMailboxesIsContentPure) {
       EXPECT_NE(reference[i - 1].first, reference[i].first)
           << "merge key collided across sources at row " << i;
     }
-    for (int depth : {8, 64}) {
-      EXPECT_EQ(merged(depth), reference) << "depth=" << depth;
+    for (int every : {7, 1000}) {
+      EXPECT_EQ(merged(every), reference) << "flush_every=" << every;
     }
   }
 }

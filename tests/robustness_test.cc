@@ -3,6 +3,7 @@
 // control, AC/DC invariants under impairment, and PACK-counter wraparound.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <random>
 
@@ -148,7 +149,14 @@ TEST(PackCounterTest, FeedbackCountersWrapModulo32) {
 
 // Property sweep: every CC delivers exactly under random drop/dup/reorder.
 struct ChaosParam {
+  ChaosParam(tcp::CcId c, double drop_p, double dup_p, double reorder_p)
+      : cc(c), drop(drop_p), dup(dup_p), reorder(reorder_p) {}
+
   tcp::CcId cc;
+  // gtest prints this struct's raw bytes into each test name. A named,
+  // zeroed pad fills what would be uninitialised padding, so the names do
+  // not change from run to run.
+  std::int32_t pad = 0;
   double drop;
   double dup;
   double reorder;
@@ -191,6 +199,7 @@ class AcdcChaosTest : public ::testing::TestWithParam<int> {};
 TEST_P(AcdcChaosTest, EnforcementSurvivesImpairment) {
   ChaosFilter chaos(static_cast<std::uint64_t>(GetParam()), 0.01, 0.01,
                     0.02);
+  obs::FlightRecorder rec(256);
   sim::Simulator sim;
   HostConfig hc;
   hc.nic_queue_bytes = 8 * 1024 * 1024;
@@ -205,10 +214,14 @@ TEST_P(AcdcChaosTest, EnforcementSurvivesImpairment) {
   b.nic().tx_port().set_peer(&a.nic());
 
   std::int64_t min_window = std::numeric_limits<std::int64_t>::max();
-  vs_a.attach_observability(
-      {.on_window = [&](const vswitch::FlowKey&, sim::Time, std::int64_t w) {
-        min_window = std::min(min_window, w);
-      }});
+  vs_a.attach_observability({.recorder = &rec, .name = "vs_a"});
+  const std::uint32_t vs_a_source = rec.register_source("vs_a");
+  rec.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type == obs::EventType::kWindowEnforced &&
+        ev.source == vs_a_source) {
+      min_window = std::min(min_window, ev.a);
+    }
+  });
 
   TcpConfig cfg;
   cfg.mss = 1448;
