@@ -11,7 +11,7 @@
 // Each measured iteration drives one rx-sized burst (default 32) through both
 // directions of the vSwitch: an egress data burst for a batch of
 // LCG-randomized flows, then the matching ingress ACK burst (with PACK
-// feedback) through process_burst's prefetch pass.
+// feedback), both through the vSwitch's two-stage prefetch pipeline.
 //
 // Every flow keeps kOutstanding segments in flight and each ACK covers only
 // the oldest one, so ACKs land mid-window the way they do on a real

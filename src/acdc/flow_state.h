@@ -27,9 +27,9 @@
 
 #include "acdc/flow_key.h"
 #include "acdc/policy.h"
-#include "acdc/rtt_estimator.h"
 #include "net/packet.h"
 #include "sim/time.h"
+#include "tcp/rtt_estimator.h"
 #include "tcp/seq.h"
 
 namespace acdc::vswitch {
@@ -151,8 +151,8 @@ struct alignas(64) FlowHot {
   std::uint32_t win_total = 0;     // feedback bytes in the current window
   std::uint32_t win_marked = 0;
 
-  // ---- RFC 6298 RTT estimation (rtt_estimator.h) ----
-  RttEstimator rtt;
+  // ---- RFC 6298 RTT estimation (tcp/rtt_estimator.h) ----
+  tcp::UsRttEstimator rtt;
   tcp::Seq rtt_sample_end = 0;        // sampled segment's end sequence
   sim::Time rtt_sample_sent_at = 0;
 

@@ -259,8 +259,8 @@ bool SenderModule::process_ingress_ack(net::Packet& packet) {
   }
   // Measured per-flow base RTT feeds the telemetry-driven CCs as τ; before
   // the first sample they fall back to the configured fabric estimate.
-  if (s.rtt.min_rtt_us > 0) {
-    ev.base_rtt_us = static_cast<double>(s.rtt.min_rtt_us);
+  if (s.rtt.min_rtt() > 0) {
+    ev.base_rtt_us = static_cast<double>(s.rtt.min_rtt());
   }
 
   // ---- Virtual congestion control (Fig. 5) ----
@@ -357,11 +357,10 @@ int SenderModule::infer_timeouts(sim::Time now) {
     // configured bounds); the fixed inactivity timeout is the sample-less
     // fallback for flows that stalled before any data round trip.
     sim::Time threshold = core_.config.inactivity_timeout;
-    if (s.rtt.valid()) {
-      threshold = std::clamp(
-          sim::microseconds(
-              static_cast<sim::Time>(s.rtt.rto_us(s.rto_backoff))),
-          core_.config.min_rto, core_.config.max_rto);
+    if (s.rtt.has_sample()) {
+      threshold =
+          std::clamp(sim::microseconds(s.rtt.rto(s.rto_backoff)),
+                     core_.config.min_rto, core_.config.max_rto);
     }
     if (now - s.last_activity < threshold) return;
     if (f.cold->last_timeout_at != sim::kNoTime &&

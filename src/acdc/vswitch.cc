@@ -134,7 +134,8 @@ void AcdcVswitch::prefetch_stage2(const net::Packet& p) const {
   }
 }
 
-void AcdcVswitch::process_burst(net::PacketPtr* packets, std::size_t count) {
+void AcdcVswitch::run_burst(net::PacketPtr* packets, std::size_t count,
+                            void (AcdcVswitch::*handle)(net::PacketPtr)) {
   // Software-pipelined: each iteration issues stage-1 prefetches
   // kStage1Depth packets ahead and stage-2 prefetches kStage2Depth ahead,
   // then runs the exact per-packet pipeline on the current one, in arrival
@@ -149,28 +150,18 @@ void AcdcVswitch::process_burst(net::PacketPtr* packets, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     if (i + kStage1Depth < count) prefetch_stage1(*packets[i + kStage1Depth]);
     if (i + kStage2Depth < count) prefetch_stage2(*packets[i + kStage2Depth]);
-    handle_ingress(std::move(packets[i]));
+    (this->*handle)(std::move(packets[i]));
   }
 }
 
 void AcdcVswitch::handle_egress_burst(net::PacketPtr* packets,
                                       std::size_t count) {
-  for (std::size_t i = 0; i < std::min(kStage1Depth, count); ++i) {
-    prefetch_stage1(*packets[i]);
-  }
-  for (std::size_t i = 0; i < std::min(kStage2Depth, count); ++i) {
-    prefetch_stage2(*packets[i]);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i + kStage1Depth < count) prefetch_stage1(*packets[i + kStage1Depth]);
-    if (i + kStage2Depth < count) prefetch_stage2(*packets[i + kStage2Depth]);
-    handle_egress(std::move(packets[i]));
-  }
+  run_burst(packets, count, &AcdcVswitch::handle_egress);
 }
 
 void AcdcVswitch::handle_ingress_burst(net::PacketPtr* packets,
                                        std::size_t count) {
-  process_burst(packets, count);
+  run_burst(packets, count, &AcdcVswitch::handle_ingress);
 }
 
 net::PacketPtr AcdcVswitch::craft_ack_toward_vm(const FlowRef& f) const {

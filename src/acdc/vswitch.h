@@ -7,10 +7,9 @@
 //   ingress: [receiver] count + strip ECN            ->
 //            [sender] feedback, virtual CC, RWND enforcement -> VM
 //
-// Ingress additionally has a burst path (process_burst): when the NIC
-// coalesces an rx batch, a prefetch pass warms the flow-table lines for the
-// whole burst before per-packet processing runs — same semantics, fewer
-// stalls (DESIGN.md §14).
+// Both directions also take bursts (handle_*_burst; the NIC's rx coalescer
+// feeds the ingress one): a prefetch pass warms the flow-table lines ahead
+// of per-packet processing — same semantics, fewer stalls (DESIGN.md §14).
 //
 // Also hosts the periodic inactivity scan (timeout inference, §3.1), the
 // flow-table garbage collector (§4) and the §3.3 flexibility features
@@ -39,13 +38,6 @@ class AcdcVswitch : public net::DuplexFilter {
   PolicyEngine& policy() { return core_.policy; }
   FlowTable& flows() { return core_.table; }
   const AcdcStats& stats() const { return core_.stats; }
-
-  // Ingress burst entry point: processes `count` packets in arrival order
-  // after one table-prefetch pass over the whole burst. Byte-for-byte
-  // equivalent to `count` single-packet deliveries — the prefetches are the
-  // only difference. The NIC's rx coalescer is the normal caller (through
-  // ingress_in()'s burst adapter); benches drive it directly.
-  void process_burst(net::PacketPtr* packets, std::size_t count);
 
   // Bundled observability wiring: trace events and metrics share `name`, so
   // a vSwitch is instrumented atomically. The computed window per processed
@@ -86,7 +78,14 @@ class AcdcVswitch : public net::DuplexFilter {
 
  private:
   void ensure_timers();
-  // Two-stage prefetch pipeline of both burst paths (DESIGN.md §14),
+  // Both burst paths: processes `count` packets in arrival order through
+  // `handle` (the virtual per-packet handler, so overrides still see every
+  // packet), with flow-table prefetches running ahead. Byte-for-byte
+  // equivalent to `count` single-packet deliveries — the prefetches are the
+  // only difference.
+  void run_burst(net::PacketPtr* packets, std::size_t count,
+                 void (AcdcVswitch::*handle)(net::PacketPtr));
+  // Two-stage prefetch pipeline of run_burst (DESIGN.md §14),
   // direction-agnostic because both directions probe the same two keys —
   // the packet's own for data tracking, the reversed one for ACK
   // processing. Stage 1 (issued furthest ahead) warms the ctrl bytes both

@@ -30,10 +30,6 @@ void Nic::receive(PacketPtr packet) {
     });
   }
   if (up_ == nullptr) return;
-  if (rx_burst_ <= 1) {
-    up_->receive(std::move(packet));
-    return;
-  }
   // Coalesce: buffer the packet and drain the batch in a zero-delay event.
   // The drain's tie key is the *first* buffered packet's delivery key, so
   // same-tick event ordering — and therefore the serial-vs-sharded digest —
@@ -55,9 +51,8 @@ void Nic::drain_rx() {
   // traffic), which must start a fresh batch rather than mutate this one.
   std::vector<PacketPtr> batch;
   batch.swap(rx_buf_);
-  const std::size_t burst = static_cast<std::size_t>(rx_burst_);
-  for (std::size_t i = 0; i < batch.size(); i += burst) {
-    const std::size_t n = std::min(burst, batch.size() - i);
+  for (std::size_t i = 0; i < batch.size(); i += kRxBurst) {
+    const std::size_t n = std::min(kRxBurst, batch.size() - i);
     up_->receive_burst(&batch[i], n);
   }
 }

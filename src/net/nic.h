@@ -1,10 +1,11 @@
 // Host NIC: an egress transmit port plus the ingress handoff to the host's
-// datapath. The ingress side can coalesce same-tick arrivals into rx bursts
-// (set_rx_burst), handing the datapath receive_burst() batches the way a
+// datapath. The ingress side coalesces same-tick arrivals into rx bursts of
+// up to kRxBurst, handing the datapath receive_burst() batches the way a
 // real NIC's rx ring hands DPDK a burst — the AC/DC vSwitch uses the batch
 // boundary to prefetch flow-table lines across the whole burst.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,13 +25,12 @@ class Nic : public PacketSink {
   // Network -> host direction.
   void receive(PacketPtr packet) override;
 
-  // Ingress coalescing depth: up to `burst` same-tick packets are buffered
-  // and delivered as one receive_burst (<= 1 disables, the default — every
-  // packet forwards immediately). The drain runs in the same simulated
-  // tick under a deterministic tie key, so delivery order and timing are
-  // identical with coalescing on or off; only the call shape changes.
-  void set_rx_burst(int burst) { rx_burst_ = burst; }
-  int rx_burst() const { return rx_burst_; }
+  // Ingress coalescing depth: up to kRxBurst same-tick packets are
+  // buffered and delivered as one receive_burst. The drain runs in the same
+  // simulated tick under a deterministic tie key, so delivery order and
+  // timing are those of packet-at-a-time forwarding; only the call shape
+  // changes.
+  static constexpr std::size_t kRxBurst = 32;
 
   // Host -> network direction (bottom of the datapath chain).
   PacketSink& tx() { return tx_port_; }
@@ -65,7 +65,6 @@ class Nic : public PacketSink {
   std::uint32_t trace_source_ = 0;
   std::int64_t received_packets_ = 0;
   std::int64_t received_bytes_ = 0;
-  int rx_burst_ = 1;
   std::vector<PacketPtr> rx_buf_;
   bool rx_drain_scheduled_ = false;
 };

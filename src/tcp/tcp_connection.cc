@@ -7,7 +7,8 @@
 namespace acdc::tcp {
 
 namespace {
-constexpr int kMaxRtoBackoff = 64;
+// RTO backoff caps at ×64 (a shift of 6).
+constexpr unsigned kMaxRtoBackoffShift = 6;
 
 std::int64_t effective_window(std::uint16_t raw, bool scaled,
                               std::uint8_t wscale) {
@@ -32,8 +33,7 @@ TcpConnection::TcpConnection(sim::Simulator* sim, TcpConfig config,
       config_(std::move(config)),
       local_(local),
       remote_(remote),
-      out_(out),
-      rtt_(config_.min_rto, config_.initial_rto) {
+      out_(out) {
   cc_ = make_congestion_control(config_.cc);
   assert(cc_ != nullptr && "unknown congestion control algorithm");
   dctcp_echo_ = config_.cc == CcId::kDctcp;
@@ -394,15 +394,11 @@ void TcpConnection::handle_syn_states(net::PacketPtr& packet) {
     peer_rwnd_bytes_ = effective_window(p.tcp.window_raw, false, 0);
     snd_una_ = p.tcp.ack_seq;
     if (!segments_.empty() && !segments_.front().retransmitted) {
-      const sim::Time sample = sim_->now() - segments_.front().sent_at;
-      rtt_.add_sample(sample);
-      if (rtt_hist_ != nullptr) rtt_hist_->record(sample);
-      cc_state_.srtt = rtt_.srtt();
-      cc_state_.min_rtt = rtt_.min_rtt();
+      take_rtt_sample(sim_->now() - segments_.front().sent_at);
     }
     segments_.clear();  // the SYN is acked
     cancel_rto();
-    rto_backoff_ = 1;
+    rto_backoff_ = 0;
     enter_state(State::kEstablished);
     send_ack_now();
     if (on_established) on_established();
@@ -424,7 +420,7 @@ void TcpConnection::handle_syn_states(net::PacketPtr& packet) {
   snd_una_ = p.tcp.ack_seq;
   segments_.clear();
   cancel_rto();
-  rto_backoff_ = 1;
+  rto_backoff_ = 0;
   peer_rwnd_bytes_ =
       effective_window(p.tcp.window_raw, wscale_ok_, peer_wscale_);
   enter_state(State::kEstablished);
@@ -498,17 +494,12 @@ void TcpConnection::process_ack(const net::Packet& p) {
     snd_una_ = ack;
     dupacks_ = 0;
     recovery_inflation_ = 0.0;
-    rto_backoff_ = 1;
+    rto_backoff_ = 0;
     if (any_sacked_ && seq_ge(snd_una_, highest_sacked_)) {
       any_sacked_ = false;  // scoreboard fully consumed
     }
 
-    if (rtt_sample > 0) {
-      rtt_.add_sample(rtt_sample);
-      if (rtt_hist_ != nullptr) rtt_hist_->record(rtt_sample);
-      cc_state_.srtt = rtt_.srtt();
-      cc_state_.min_rtt = rtt_.min_rtt();
-    }
+    take_rtt_sample(rtt_sample);
 
     if (in_rto_recovery_) {
       if (seq_ge(ack, rto_recovery_point_)) {
@@ -787,10 +778,26 @@ void TcpConnection::maybe_send_ack(bool forced) {
 
 // --------------------------------------------------------------------- RTO
 
+void TcpConnection::take_rtt_sample(sim::Time sample) {
+  if (sample <= 0) return;
+  rtt_.on_sample(sample);
+  if (rtt_hist_ != nullptr) rtt_hist_->record(sample);
+  cc_state_.srtt = rtt_.srtt();
+  cc_state_.min_rtt = rtt_.min_rtt();
+}
+
+sim::Time TcpConnection::rto() const {
+  // The min_rto floor applies before the backoff, so a backed-off timer
+  // doubles the floored value.
+  const sim::Time base = rtt_.has_sample()
+                             ? std::max(config_.min_rto, rtt_.rto())
+                             : std::max(config_.initial_rto, config_.min_rto);
+  return base << rto_backoff_;
+}
+
 void TcpConnection::arm_rto() {
   cancel_rto();
-  const sim::Time timeout = rtt_.rto() * rto_backoff_;
-  rto_timer_ = sim_->schedule(timeout, [this] {
+  rto_timer_ = sim_->schedule(rto(), [this] {
     rto_timer_ = sim::kInvalidEventId;
     on_rto_fire();
   });
@@ -806,7 +813,7 @@ void TcpConnection::cancel_rto() {
 void TcpConnection::on_rto_fire() {
   cc_state_.now = sim_->now();
   ++stats_.rtos;
-  rto_backoff_ = std::min(rto_backoff_ * 2, kMaxRtoBackoff);
+  if (rto_backoff_ < kMaxRtoBackoffShift) ++rto_backoff_;
 
   if (state_ == State::kSynSent || state_ == State::kSynReceived) {
     if (!segments_.empty()) {

@@ -142,7 +142,10 @@ class TcpConnection {
            (fin_pending_ && !fin_sent_ ? 0 : 0);
   }
   const Stats& stats() const { return stats_; }
-  const RttEstimator& rtt() const { return rtt_; }
+  const NsRttEstimator& rtt() const { return rtt_; }
+  // Current retransmission timeout, backoff included: initial_rto until
+  // the first RTT sample, then the estimator's RTO floored at min_rto.
+  sim::Time rto() const;
   const TcpConfig& config() const { return config_; }
   const Endpoint& local() const { return local_; }
   const Endpoint& remote() const { return remote_; }
@@ -201,6 +204,7 @@ class TcpConnection {
   void apply_sack(const net::SackBlocks& blocks);
   bool retransmit_first_unsacked(bool skip_retransmitted);
   bool retransmit_next_hole();
+  void take_rtt_sample(sim::Time sample);  // ignores sample <= 0
   void on_rto_fire();
   void arm_rto();
   void cancel_rto();
@@ -226,7 +230,7 @@ class TcpConnection {
   State state_ = State::kClosed;
   std::unique_ptr<CongestionControl> cc_;
   CcState cc_state_;
-  RttEstimator rtt_;
+  NsRttEstimator rtt_;
 
   // Sender state.
   Seq iss_ = 0;
@@ -255,7 +259,7 @@ class TcpConnection {
   bool fin_acked_ = false;
   std::int64_t acked_payload_bytes_ = 0;
   sim::EventId rto_timer_ = sim::kInvalidEventId;
-  int rto_backoff_ = 1;
+  unsigned rto_backoff_ = 0;  // shift: the timer runs at rto << backoff
 
   // Receiver state.
   Seq irs_ = 0;

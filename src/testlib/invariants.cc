@@ -454,11 +454,11 @@ void InvariantChecker::check_flow_table(const std::string& name,
     }
     // RTT estimator internal consistency: a valid estimator implies a
     // nonzero min, and min can never exceed the smoothed value.
-    if (s.rtt.valid() &&
-        (s.rtt.min_rtt_us == 0 || s.rtt.min_rtt_us > s.rtt.srtt_us() * 8)) {
+    if (s.rtt.has_sample() &&
+        (s.rtt.min_rtt() == 0 || s.rtt.min_rtt() > s.rtt.srtt() * 8)) {
       fail(msg.str() + "rtt estimator inconsistent (min " +
-           std::to_string(s.rtt.min_rtt_us) + "us, srtt " +
-           std::to_string(s.rtt.srtt_us()) + "us)");
+           std::to_string(s.rtt.min_rtt()) + "us, srtt " +
+           std::to_string(s.rtt.srtt()) + "us)");
     }
   });
 

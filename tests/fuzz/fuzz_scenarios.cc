@@ -5,13 +5,10 @@
 //                  [--no-churn] [--no-arsenal] [--no-service]
 //                  [--horizon-ms M]
 //                  [--artifact-dir DIR] [--quiet] [--shards S] [--threads T]
-//                  [--bursts B]
 //
 // --shards S (S > 1) partitions every sampled topology and runs it on the
 // parallel engine with T worker threads (default: one per shard); results
 // must be identical to the serial engine, so all the oracles stay valid.
-// --bursts B sets the NIC rx coalescing depth on every generated host
-// (1 forces the per-packet path); digests must not depend on it.
 //
 // Iteration i runs the scenario sampled from seed N+i under the full
 // invariant harness; every D-th passing seed is additionally replayed with
@@ -54,7 +51,6 @@ struct DriverOptions {
   bool quiet = false;
   int shards = 0;   // > 1: run on the parallel engine
   int threads = 0;  // 0 -> one per shard
-  int bursts = -1;  // NIC rx burst depth; -1 = scenario default
 };
 
 void usage(const char* argv0) {
@@ -65,7 +61,6 @@ void usage(const char* argv0) {
       "          [--no-churn] [--no-arsenal] [--no-service]\n"
       "          [--horizon-ms M]\n"
       "          [--artifact-dir DIR] [--quiet] [--shards S] [--threads T]\n"
-      "          [--bursts B]\n"
       "ACDC_TEST_SEED overrides the default --seed.\n",
       argv0);
 }
@@ -91,8 +86,6 @@ bool parse_args(int argc, char** argv, DriverOptions& opt) {
       opt.shards = static_cast<int>(v);
     } else if (arg == "--threads" && next_value(v)) {
       opt.threads = static_cast<int>(v);
-    } else if (arg == "--bursts" && next_value(v)) {
-      opt.bursts = static_cast<int>(v);
     } else if (arg == "--no-drop") {
       opt.toggles.drop = false;
     } else if (arg == "--no-dup") {
@@ -124,7 +117,6 @@ RunOptions run_options(const DriverOptions& opt) {
   ro.horizon = acdc::sim::milliseconds(opt.horizon_ms);
   ro.shards = opt.shards;
   ro.threads = opt.threads;
-  ro.nic_rx_burst = opt.bursts;
   return ro;
 }
 
@@ -182,7 +174,6 @@ std::string repro_command(std::uint64_t seed, const FaultToggles& t,
   if (!t.service) cmd += " --no-service";
   if (opt.shards > 0) cmd += " --shards " + std::to_string(opt.shards);
   if (opt.threads > 0) cmd += " --threads " + std::to_string(opt.threads);
-  if (opt.bursts >= 0) cmd += " --bursts " + std::to_string(opt.bursts);
   return cmd;
 }
 

@@ -1,105 +1,151 @@
-// Unit tests for the integer-scaled RFC 6298 estimator (acdc/rtt_estimator.h)
-// against hand-computed fixed-point sequences, plus the sender module's
-// sampling discipline: one outstanding sample per flow, completed by the
-// cumulative ACK, and Karn's rule (a retransmitted segment never yields a
-// sample).
+// Unit tests for the fixed-point RFC 6298 estimator (tcp/rtt_estimator.h)
+// against hand-computed sequences, run at both instantiations — the
+// vSwitch's whole-µs one and the tenant stack's ns one — plus the sender
+// module's sampling discipline: one outstanding sample per flow, completed
+// by the cumulative ACK, and Karn's rule (a retransmitted segment never
+// yields a sample).
 #include <gtest/gtest.h>
 
-#include "acdc/rtt_estimator.h"
+#include <algorithm>
+#include <cstdint>
+
 #include "acdc/sender_module.h"
 #include "sim/simulator.h"
+#include "tcp/rtt_estimator.h"
 
 namespace acdc::vswitch {
 namespace {
 
+// Runs `body` on a fresh estimator of each instantiation, with the number
+// of ticks per µs (typed as a tick). The hand-computed sequences below are in µs; at the ns
+// instantiation every value scales by 1000, except where the 1 µs
+// granularity floor (1 tick vs 1000 ticks) shows.
+template <typename Body>
+void for_each_instantiation(Body body) {
+  {
+    SCOPED_TRACE("us ticks");
+    body(tcp::UsRttEstimator{}, std::uint32_t{1});
+  }
+  {
+    SCOPED_TRACE("ns ticks");
+    body(tcp::NsRttEstimator{}, sim::microseconds(1));
+  }
+}
+
 TEST(RttEstimator, FirstSampleSeedsSrttAndHalfVariance) {
-  RttEstimator e;
-  EXPECT_FALSE(e.valid());
-  e.on_sample(100);
-  EXPECT_TRUE(e.valid());
-  // RFC 6298 §2.2: srtt = R, rttvar = R/2 -> rto = srtt + 4·rttvar = 3R.
-  EXPECT_EQ(e.srtt_x8, 800u);
-  EXPECT_EQ(e.rttvar_x4, 200u);
-  EXPECT_EQ(e.srtt_us(), 100u);
-  EXPECT_EQ(e.min_rtt_us, 100u);
-  EXPECT_EQ(e.rto_us(), 300u);
+  for_each_instantiation([](auto e, auto us) {
+    EXPECT_FALSE(e.has_sample());
+    e.on_sample(100 * us);
+    EXPECT_TRUE(e.has_sample());
+    // RFC 6298 §2.2: srtt = R, rttvar = R/2 -> rto = srtt + 4·rttvar = 3R.
+    EXPECT_EQ(e.srtt_x8(), 800 * us);
+    EXPECT_EQ(e.rttvar_x4(), 200 * us);
+    EXPECT_EQ(e.srtt(), 100 * us);
+    EXPECT_EQ(e.min_rtt(), 100 * us);
+    EXPECT_EQ(e.rto(), 300 * us);
+  });
 }
 
 TEST(RttEstimator, SteadySampleDecaysVariance) {
-  RttEstimator e;
-  e.on_sample(100);
-  // Identical sample: err = 0, so srtt holds and rttvar loses a quarter.
-  e.on_sample(100);
-  EXPECT_EQ(e.srtt_x8, 800u);
-  EXPECT_EQ(e.rttvar_x4, 150u);
-  EXPECT_EQ(e.rto_us(), 250u);
+  for_each_instantiation([](auto e, auto us) {
+    e.on_sample(100 * us);
+    // Identical sample: err = 0, so srtt holds and rttvar loses a quarter.
+    e.on_sample(100 * us);
+    EXPECT_EQ(e.srtt_x8(), 800 * us);
+    EXPECT_EQ(e.rttvar_x4(), 150 * us);
+    EXPECT_EQ(e.rto(), 250 * us);
+  });
 }
 
 TEST(RttEstimator, LargerSampleRaisesBothTerms) {
-  RttEstimator e;
-  e.on_sample(100);
-  // err = +80: srtt_x8 += 80 (one-eighth gain in x8 units), and rttvar
-  // gains |err| - rttvar/4 = 80 - 50 = 30.
-  e.on_sample(180);
-  EXPECT_EQ(e.srtt_x8, 880u);
-  EXPECT_EQ(e.srtt_us(), 110u);
-  EXPECT_EQ(e.rttvar_x4, 230u);
-  EXPECT_EQ(e.rto_us(), 340u);
-  EXPECT_EQ(e.min_rtt_us, 100u) << "min must not rise";
+  for_each_instantiation([](auto e, auto us) {
+    e.on_sample(100 * us);
+    // err = +80: srtt_x8 += 80 (one-eighth gain in x8 units), and rttvar
+    // gains |err| - rttvar/4 = 80 - 50 = 30.
+    e.on_sample(180 * us);
+    EXPECT_EQ(e.srtt_x8(), 880 * us);
+    EXPECT_EQ(e.srtt(), 110 * us);
+    EXPECT_EQ(e.rttvar_x4(), 230 * us);
+    EXPECT_EQ(e.rto(), 340 * us);
+    EXPECT_EQ(e.min_rtt(), 100 * us) << "min must not rise";
+  });
 }
 
 TEST(RttEstimator, SmallerSampleUsesSlowDecrease) {
-  RttEstimator e;
-  e.on_sample(100);
-  // err = -40. srtt drops by 40/8 = 5µs. For the deviation, |err| = 40 is
-  // below rttvar/4 = 50, so the Linux slow-decrease shift never engages and
-  // rttvar only sheds the difference: 200 + (40 - 50) = 190.
-  e.on_sample(60);
-  EXPECT_EQ(e.srtt_x8, 760u);
-  EXPECT_EQ(e.srtt_us(), 95u);
-  EXPECT_EQ(e.rttvar_x4, 190u);
-  EXPECT_EQ(e.min_rtt_us, 60u);
+  for_each_instantiation([](auto e, auto us) {
+    e.on_sample(100 * us);
+    // err = -40. srtt drops by 40/8 = 5µs. For the deviation, |err| = 40
+    // is below rttvar/4 = 50, so the Linux slow-decrease shift never
+    // engages and rttvar only sheds the difference: 200 + (40 - 50) = 190.
+    e.on_sample(60 * us);
+    EXPECT_EQ(e.srtt_x8(), 760 * us);
+    EXPECT_EQ(e.srtt(), 95 * us);
+    EXPECT_EQ(e.rttvar_x4(), 190 * us);
+    EXPECT_EQ(e.min_rtt(), 60 * us);
+  });
 }
 
 TEST(RttEstimator, SlowDecreaseShiftEngagesOnBigDownwardError) {
-  RttEstimator e;
-  e.on_sample(1000);  // srtt_x8 = 8000, rttvar_x4 = 2000
-  // err = -900: |err| - rttvar/4 = 900 - 500 = 400 > 0, so the decrease is
-  // geared down by 8 -> rttvar gains only 50 instead of 400.
-  e.on_sample(100);
-  EXPECT_EQ(e.srtt_x8, 7100u);
-  EXPECT_EQ(e.rttvar_x4, 2050u);
+  for_each_instantiation([](auto e, auto us) {
+    e.on_sample(1000 * us);  // srtt_x8 = 8000, rttvar_x4 = 2000
+    // err = -900: |err| - rttvar/4 = 900 - 500 = 400 > 0, so the decrease
+    // is geared down by 8 -> rttvar gains only 50 instead of 400.
+    e.on_sample(100 * us);
+    EXPECT_EQ(e.srtt_x8(), 7100 * us);
+    EXPECT_EQ(e.rttvar_x4(), 2050 * us);
+  });
 }
 
 TEST(RttEstimator, BackoffShiftsExponentiallyAndSaturates) {
-  RttEstimator e;
-  e.on_sample(100);  // rto = 300
-  EXPECT_EQ(e.rto_us(0), 300u);
-  EXPECT_EQ(e.rto_us(1), 600u);
-  EXPECT_EQ(e.rto_us(3), 2'400u);
-  // The shift clamps at 24 so a stuck flow can't overflow the arithmetic.
-  EXPECT_EQ(e.rto_us(24), std::uint64_t{300} << 24);
-  EXPECT_EQ(e.rto_us(60), std::uint64_t{300} << 24);
+  for_each_instantiation([](auto e, auto us) {
+    e.on_sample(100 * us);  // rto = 300
+    EXPECT_EQ(e.rto(0), 300 * us);
+    EXPECT_EQ(e.rto(1), 600 * us);
+    EXPECT_EQ(e.rto(3), 2'400 * us);
+    // The shift clamps at 24 so a stuck flow can't overflow the arithmetic.
+    const std::int64_t rto = 300 * us;
+    EXPECT_EQ(e.rto(24), rto << 24);
+    EXPECT_EQ(e.rto(60), rto << 24);
+  });
 }
 
 TEST(RttEstimator, ZeroSampleCountsAsOneMicrosecond) {
-  RttEstimator e;
-  e.on_sample(0);
-  EXPECT_TRUE(e.valid());
-  EXPECT_EQ(e.srtt_us(), 1u);
-  EXPECT_EQ(e.min_rtt_us, 1u);
-  EXPECT_EQ(e.rto_us(), 3u);
+  for_each_instantiation([](auto e, auto us) {
+    // A 0-tick sample counts as one tick: 1 µs or 1 ns.
+    e.on_sample(0);
+    EXPECT_TRUE(e.has_sample());
+    EXPECT_EQ(e.srtt(), decltype(us){1});
+    EXPECT_EQ(e.min_rtt(), decltype(us){1});
+    // rto = srtt + max(G, 4·rttvar) = 1 + max(1 µs, 2 ticks).
+    EXPECT_EQ(e.rto(), 1 + std::max<std::int64_t>(us, 2));
+  });
 }
 
 TEST(RttEstimator, ConvergesOnConstantInput) {
-  RttEstimator e;
-  e.on_sample(200);
-  for (int i = 0; i < 50; ++i) e.on_sample(200);
-  EXPECT_EQ(e.srtt_us(), 200u);
-  // rttvar decays geometrically until rttvar_x4 >> 2 == 0 (i.e. 3).
-  EXPECT_EQ(e.rttvar_x4, 3u);
-  EXPECT_EQ(e.rto_us(), 203u);
-  EXPECT_EQ(e.min_rtt_us, 200u);
+  for_each_instantiation([](auto e, auto us) {
+    e.on_sample(200 * us);
+    for (int i = 0; i < 50; ++i) e.on_sample(200 * us);
+    EXPECT_EQ(e.srtt(), 200 * us);
+    // rttvar decays geometrically until rttvar_x4 >> 2 == 0 (i.e. 3 ticks).
+    EXPECT_EQ(e.rttvar_x4(), decltype(us){3});
+    // 4·rttvar is now below the 1 µs granularity G, which takes over:
+    // rto = 203 µs at µs ticks, 200 µs + 1 µs at ns ticks.
+    EXPECT_EQ(e.rto(), 200 * us + std::max<std::int64_t>(us, 3));
+    EXPECT_EQ(e.min_rtt(), 200 * us);
+  });
+}
+
+TEST(RttEstimator, NsSampleAbove537MsDoesNotOverflow) {
+  // srtt ×8 in ns passes 2^32 at ~537 ms, which is why the tenant stack
+  // keeps 64-bit ticks.
+  tcp::NsRttEstimator e;
+  e.on_sample(sim::milliseconds(600));
+  EXPECT_EQ(e.srtt_x8(), sim::milliseconds(4'800));
+  EXPECT_EQ(e.srtt(), sim::milliseconds(600));
+  EXPECT_EQ(e.rto(), sim::milliseconds(1'800));
+  e.on_sample(sim::milliseconds(680));
+  EXPECT_EQ(e.srtt(), sim::milliseconds(610));
+  EXPECT_EQ(e.min_rtt(), sim::milliseconds(600));
 }
 
 // --- Sampling discipline in the sender module -----------------------------
@@ -155,9 +201,9 @@ TEST_F(RttSamplingTest, AckCompletingTheSampleFeedsTheEstimator) {
   ASSERT_TRUE(ingress(ack_packet(2'000)));
   EXPECT_FALSE(entry().rtt_sample_pending);
   EXPECT_EQ(core_.stats.rtt_samples, 1);
-  EXPECT_TRUE(entry().rtt.valid());
-  EXPECT_EQ(entry().rtt.srtt_us(), 300u);
-  EXPECT_EQ(entry().rtt.min_rtt_us, 300u);
+  EXPECT_TRUE(entry().rtt.has_sample());
+  EXPECT_EQ(entry().rtt.srtt(), 300u);
+  EXPECT_EQ(entry().rtt.min_rtt(), 300u);
 }
 
 TEST_F(RttSamplingTest, PartialAckKeepsTheSamplePending) {
@@ -171,7 +217,7 @@ TEST_F(RttSamplingTest, PartialAckKeepsTheSamplePending) {
   sim_.run_until(sim::microseconds(250));
   ASSERT_TRUE(ingress(ack_packet(4'000)));
   EXPECT_EQ(core_.stats.rtt_samples, 1);
-  EXPECT_EQ(entry().rtt.srtt_us(), 250u) << "timed from the original send";
+  EXPECT_EQ(entry().rtt.srtt(), 250u) << "timed from the original send";
 }
 
 TEST_F(RttSamplingTest, KarnsRuleDropsRetransmittedSamples) {
@@ -184,7 +230,7 @@ TEST_F(RttSamplingTest, KarnsRuleDropsRetransmittedSamples) {
   sim_.run_until(sim::microseconds(500));
   ASSERT_TRUE(ingress(ack_packet(2'000)));
   EXPECT_EQ(core_.stats.rtt_samples, 0);
-  EXPECT_FALSE(entry().rtt.valid());
+  EXPECT_FALSE(entry().rtt.has_sample());
 
   // The next fresh segment re-arms sampling as usual.
   ASSERT_TRUE(egress(data_packet(2'000, 1'000)));
@@ -192,7 +238,7 @@ TEST_F(RttSamplingTest, KarnsRuleDropsRetransmittedSamples) {
   sim_.run_until(sim::microseconds(700));
   ASSERT_TRUE(ingress(ack_packet(3'000)));
   EXPECT_EQ(core_.stats.rtt_samples, 1);
-  EXPECT_EQ(entry().rtt.srtt_us(), 200u);
+  EXPECT_EQ(entry().rtt.srtt(), 200u);
 }
 
 TEST_F(RttSamplingTest, OnlyOneSampleInFlightPerFlow) {
@@ -207,7 +253,7 @@ TEST_F(RttSamplingTest, OnlyOneSampleInFlightPerFlow) {
   // The cumulative ACK for both completes the one pending sample.
   ASSERT_TRUE(ingress(ack_packet(3'000)));
   EXPECT_EQ(core_.stats.rtt_samples, 1);
-  EXPECT_EQ(entry().rtt.srtt_us(), 100u);
+  EXPECT_EQ(entry().rtt.srtt(), 100u);
 }
 
 TEST_F(RttSamplingTest, SynSegmentsAreNotSampled) {

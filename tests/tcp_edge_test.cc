@@ -1,6 +1,7 @@
 // TCP state-machine edge cases: RST, duplicate SYN, simultaneous close,
 // close-with-pending-data, zero-byte sends, delayed-ACK timing, window
-// updates unblocking a sender, and Karn's rule on RTT sampling.
+// updates unblocking a sender, Karn's rule on RTT sampling, and the
+// stack's RTO policy around the shared RFC 6298 estimator.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -184,6 +185,66 @@ TEST(TcpEdgeTest, ManySmallWritesDeliverExactly) {
   // Nagle is off by design (datacenter default): each write that fits the
   // open window leaves immediately as its own segment.
   EXPECT_GE(c->stats().segments_sent, 100);
+}
+
+// Drops every egress packet from the filtered host once armed (the SYN
+// included when armed from the start): a path that dies mid-connection.
+class Blackhole : public net::DuplexFilter {
+ public:
+  bool armed = false;
+
+ protected:
+  void handle_egress(net::PacketPtr p) override {
+    if (!armed) send_down(std::move(p));
+  }
+};
+
+TEST(TcpEdgeTest, InitialRtoGovernsUntilFirstSample) {
+  Blackhole hole;
+  hole.armed = true;
+  Pair net(&hole);
+  net.b->listen(80, cfg());
+  TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
+  ASSERT_FALSE(c->rtt().has_sample());
+  EXPECT_EQ(c->rto(), cfg().initial_rto);
+  net.sim.run_until(cfg().initial_rto - 1);
+  EXPECT_EQ(c->stats().rtos, 0);
+  net.sim.run_until(cfg().initial_rto + 1);
+  EXPECT_EQ(c->stats().rtos, 1) << "the SYN retransmits after initial_rto";
+  EXPECT_EQ(c->rto(), 2 * cfg().initial_rto);
+
+  // An initial_rto below the floor is raised to min_rto.
+  TcpConfig low = cfg();
+  low.initial_rto = sim::milliseconds(1);
+  TcpConnection* d = net.a->connect(net.b->ip(), 81, low);
+  EXPECT_EQ(d->rto(), low.min_rto);
+}
+
+TEST(TcpEdgeTest, MinRtoFloorAppliesBeforeBackoffAndBackoffCapsAt64x) {
+  Blackhole hole;
+  Pair net(&hole);
+  net.b->listen(80, cfg());
+  TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
+  net.sim.run_until(sim::milliseconds(5));
+  ASSERT_EQ(c->state(), TcpConnection::State::kEstablished);
+  ASSERT_TRUE(c->rtt().has_sample());
+  const sim::Time floor = cfg().min_rto;
+  // A µs-scale fabric RTT: the estimator's own RTO sits far below the floor.
+  ASSERT_LT(c->rtt().rto(), floor / 10);
+  EXPECT_EQ(c->rto(), floor);
+
+  hole.armed = true;
+  c->send(1'448);
+  // One timeout: the floored RTO doubles (the floor is not re-applied to
+  // the backed-off value, which would leave it at min_rto).
+  net.sim.run_until(sim::milliseconds(5) + floor + sim::microseconds(100));
+  ASSERT_EQ(c->stats().rtos, 1);
+  EXPECT_EQ(c->rto(), 2 * floor);
+  // Timeouts at +10, +20, +40, ... ms; the 9th fires ~2.55 s in. The
+  // multiplier stops at ×64.
+  net.sim.run_until(sim::seconds(3));
+  EXPECT_EQ(c->stats().rtos, 9);
+  EXPECT_EQ(c->rto(), 64 * floor);
 }
 
 }  // namespace
