@@ -110,7 +110,7 @@ void ablation_enforcement() {
     RunConfig cfg;
     cfg.mode = exp::Mode::kAcdc;
     cfg.duration = sim::seconds(1.5);
-    if (!enforce) cfg.acdc = vswitch::AcdcConfig::observer();
+    cfg.acdc.enforce = enforce;
     const RunResult r = run_dumbbell(cfg, std::vector<FlowSpec>(5));
     t.add_row({enforce ? "on (AC/DC)" : "off (observer)",
                stats::Table::num(r.rtt_ms.median()),

@@ -26,7 +26,8 @@ int main() {
   exp::Dumbbell bell(dc);
   exp::Scenario& s = bell.scenario();
 
-  const vswitch::AcdcConfig observer = vswitch::AcdcConfig::observer();
+  vswitch::AcdcConfig observer;
+  observer.enforce = false;
   std::vector<vswitch::AcdcVswitch*> vswitches;
   for (int i = 0; i < bell.pairs(); ++i) {
     vswitches.push_back(s.attach_acdc(bell.sender(i), observer));

@@ -13,6 +13,15 @@ namespace acdc::vswitch {
 
 class SenderModule {
  public:
+  // Timeout inference (§3.1): a flow with an RTT sample times out at its
+  // own RTO clamped to [kMinRto, kMaxRto]; a sample-less flow after the
+  // fixed kInactivityTimeout.
+  static constexpr sim::Time kInactivityTimeout = sim::milliseconds(40);
+  static constexpr sim::Time kMinRto = sim::milliseconds(10);
+  static constexpr sim::Time kMaxRto = sim::seconds(4);
+  // Window slack the policer tolerates before dropping, in MSS.
+  static constexpr double kPoliceSlackMss = 4.0;
+
   explicit SenderModule(AcdcCore& core) : core_(core) {}
 
   // Egress packets in the data direction (payload/SYN/FIN). Returns false
@@ -24,8 +33,7 @@ class SenderModule {
   bool process_ingress_ack(net::Packet& packet);
 
   // Periodic stall scan: infers RTOs (§3.1) at each flow's own RFC 6298
-  // RTO when an estimate exists, else at the configured inactivity
-  // timeout. Returns the number of flows whose virtual CC was reset.
+  // RTO when an estimate exists, else at kInactivityTimeout. Returns the number of flows whose virtual CC was reset.
   int infer_timeouts(sim::Time now);
 
  private:

@@ -5,8 +5,8 @@
 
 namespace acdc::vswitch {
 
-void VirtualCc::init(FlowHot& s, const VccConfig& cfg) const {
-  s.cwnd_bytes = cfg.initial_cwnd_packets * s.mss;
+void VirtualCc::init(FlowHot& s) const {
+  s.cwnd_bytes = kInitialCwndPackets * s.mss;
   s.ssthresh_bytes = 1e18;
   s.alpha = 1.0;
   s.win_total = 0;
@@ -39,6 +39,16 @@ bool VirtualCc::window_rolled(FlowHot& s) {
   return false;
 }
 
+bool VirtualCc::reduce_once(FlowHot& s, double factor) {
+  if (s.reduced_this_window) return false;
+  s.reduced_this_window = true;
+  s.cc_window_end = s.snd_nxt;
+  s.window_boundary_valid = true;
+  s.cwnd_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes * factor);
+  s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
+  return true;
+}
+
 void VirtualCc::reno_grow(FlowHot& s, std::int64_t acked_bytes) {
   if (acked_bytes <= 0) return;
   if (s.cwnd_bytes < s.ssthresh_bytes) {
@@ -51,8 +61,7 @@ void VirtualCc::reno_grow(FlowHot& s, std::int64_t acked_bytes) {
   }
 }
 
-void VirtualCc::on_timeout(FlowHot& s, const VccConfig& cfg) const {
-  (void)cfg;
+void VirtualCc::on_timeout(FlowHot& s) const {
   s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
   s.cwnd_bytes = min_cwnd_bytes(s);
   s.window_boundary_valid = false;
@@ -81,7 +90,7 @@ void VirtualDctcp::on_ack(FlowHot& s, const VccConfig& cfg,
     s.win_marked = 0;
   }
 
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
+  const bool loss = is_loss(ev);
   const bool congestion = ev.fb_marked_delta > 0;
 
   if (loss) {
@@ -89,61 +98,35 @@ void VirtualDctcp::on_ack(FlowHot& s, const VccConfig& cfg,
     // once per window). Retransmission itself is the VM's job.
     s.alpha = 1.0;
   }
-  if (loss || congestion) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      s.cwnd_bytes =
-          std::max(min_cwnd_bytes(s),
-                   s.cwnd_bytes * reduction_factor(s.alpha, s.beta));
-      s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-      return;
-    }
-    // Already cut in this window: keep growing like the host stack, which
-    // runs tcp_cong_avoid() on every ACK outside the reduction itself.
+  if ((loss || congestion) &&
+      reduce_once(s, reduction_factor(s.alpha, s.beta))) {
+    return;
   }
+  // Not congested, or already cut in this window: keep growing like the
+  // host stack, which runs tcp_cong_avoid() on every ACK outside the
+  // reduction itself.
   if (!ev.dupack) reno_grow(s, ev.acked_bytes);  // tcp_cong_avoid()
 }
 
-void VirtualDctcp::on_timeout(FlowHot& s, const VccConfig& cfg) const {
-  (void)cfg;
+void VirtualDctcp::on_timeout(FlowHot& s) const {
   s.alpha = 1.0;
-  s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
-  s.cwnd_bytes = min_cwnd_bytes(s);
-  s.window_boundary_valid = false;
+  VirtualCc::on_timeout(s);
 }
 
 // -------------------------------------------------------------------- Reno
 
 void VirtualReno::on_ack(FlowHot& s, const VccConfig& cfg,
                          const VccEvent& ev) const {
+  (void)cfg;
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
-  const bool congestion = ev.fb_marked_delta > 0;
-  if (loss || congestion) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      s.cwnd_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
-      s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-    }
+  if (is_loss(ev) || ev.fb_marked_delta > 0) {
+    reduce_once(s, 0.5);
     return;
   }
   if (!ev.dupack) reno_grow(s, ev.acked_bytes);
 }
 
 // ------------------------------------------------------------------- CUBIC
-
-void VirtualCubic::cut(FlowHot& s) const {
-  CubicCc& c = s.cc.cubic;
-  const double w = s.cwnd_bytes;
-  c.w_last_max = w < c.w_last_max ? w * (2.0 - kBeta) / 2.0 : w;
-  s.cwnd_bytes = std::max(min_cwnd_bytes(s), w * kBeta);
-  s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-  c.epoch_valid = false;
-}
 
 void VirtualCubic::grow(FlowHot& s, const VccEvent& ev) const {
   if (s.cwnd_bytes < s.ssthresh_bytes) {
@@ -185,23 +168,22 @@ void VirtualCubic::grow(FlowHot& s, const VccEvent& ev) const {
 
 void VirtualCubic::on_ack(FlowHot& s, const VccConfig& cfg,
                           const VccEvent& ev) const {
+  (void)cfg;
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
-  const bool congestion = ev.fb_marked_delta > 0;
-  if (loss || congestion) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      cut(s);
+  if (is_loss(ev) || ev.fb_marked_delta > 0) {
+    CubicCc& c = s.cc.cubic;
+    const double w = s.cwnd_bytes;
+    if (reduce_once(s, kBeta)) {
+      c.w_last_max = w < c.w_last_max ? w * (2.0 - kBeta) / 2.0 : w;
+      c.epoch_valid = false;
     }
     return;
   }
   if (!ev.dupack) grow(s, ev);
 }
 
-void VirtualCubic::on_timeout(FlowHot& s, const VccConfig& cfg) const {
-  VirtualCc::on_timeout(s, cfg);
+void VirtualCubic::on_timeout(FlowHot& s) const {
+  VirtualCc::on_timeout(s);
   s.cc.cubic.epoch_valid = false;
 }
 
@@ -216,15 +198,8 @@ double VirtualPowerTcp::bdp_bytes(double tau_us,
 void VirtualPowerTcp::on_ack(FlowHot& s, const VccConfig& cfg,
                              const VccEvent& ev) const {
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
-  if (loss) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      s.cwnd_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
-      s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-    }
+  if (is_loss(ev)) {
+    reduce_once(s, 0.5);
     return;
   }
   if (ev.dupack) return;
@@ -273,40 +248,30 @@ void VirtualPowerTcp::on_ack(FlowHot& s, const VccConfig& cfg,
   }
   const double gamma_norm = std::max(1e-9, pt.power);
 
-  const double target =
-      s.cwnd_bytes / gamma_norm + cfg.powertcp.beta_mss * s.mss;
-  const double w =
-      cfg.powertcp.gamma * target + (1.0 - cfg.powertcp.gamma) * s.cwnd_bytes;
-  const double cap =
-      std::max(min_cwnd_bytes(s), cfg.powertcp.cap_bdps * bdp);
+  const double target = s.cwnd_bytes / gamma_norm + kBetaMss * s.mss;
+  const double w = kGamma * target + (1.0 - kGamma) * s.cwnd_bytes;
+  const double cap = std::max(min_cwnd_bytes(s), kCapBdps * bdp);
   s.cwnd_bytes = std::clamp(w, min_cwnd_bytes(s), cap);
 }
 
-void VirtualPowerTcp::on_timeout(FlowHot& s, const VccConfig& cfg) const {
-  VirtualCc::on_timeout(s, cfg);
+void VirtualPowerTcp::on_timeout(FlowHot& s) const {
+  VirtualCc::on_timeout(s);
   s.cc.pt.prev_valid = false;
 }
 
 // --------------------------------------------------------------- Fair rate
 
-double VirtualFairRate::window_bytes(double tau_us, double window_rtts,
+double VirtualFairRate::window_bytes(double tau_us,
                                      std::uint32_t fair_bytes_per_ms) {
   return static_cast<double>(fair_bytes_per_ms) * (tau_us / 1000.0) *
-         window_rtts;
+         kWindowRtts;
 }
 
 void VirtualFairRate::on_ack(FlowHot& s, const VccConfig& cfg,
                              const VccEvent& ev) const {
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
-  if (loss) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      s.cwnd_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
-      s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-    }
+  if (is_loss(ev)) {
+    reduce_once(s, 0.5);
     return;
   }
   if (ev.dupack) return;
@@ -320,8 +285,7 @@ void VirtualFairRate::on_ack(FlowHot& s, const VccConfig& cfg,
   // is that the vSwitch pins the VM to the fabric-computed fair share.
   s.cwnd_bytes = std::max(
       min_cwnd_bytes(s),
-      window_bytes(tau_us(cfg, ev), cfg.fair.window_rtts,
-                   ev.fair_bytes_per_ms));
+      window_bytes(tau_us(cfg, ev), ev.fair_bytes_per_ms));
 }
 
 // ----------------------------------------------------------------- Registry

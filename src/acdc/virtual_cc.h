@@ -5,11 +5,10 @@
 // policy engine (§3.4).
 //
 // Algorithms are stateless singletons: all per-flow state lives inline in
-// FlowHot so the flow table stays compact (§4). Tuning lives in VccConfig —
-// a small shared core plus one typed sub-config per algorithm family
-// (DctcpConfig / PowerTcpConfig / FairRateConfig), selected by the flow's
-// VccKind, so adding a controller grows its own struct rather than one
-// shared bag of loosely-owned fields.
+// FlowHot so the flow table stays compact (§4). VccConfig holds only what
+// experiments vary (the fabric τ fallback and DCTCP's g); each algorithm's
+// fixed constants sit in its own class (VirtualCubic::kC,
+// VirtualPowerTcp::kGamma, ...).
 #pragma once
 
 #include <cstdint>
@@ -42,46 +41,29 @@ struct VccEvent {
   std::uint32_t ts_us = 0;             // stamping hop's clock (µs, wraps)
 };
 
-// ---- Per-kind tuning ------------------------------------------------------
+// ---- Tuning ---------------------------------------------------------------
 
 struct DctcpConfig {
   double g = 1.0 / 16.0;  // EWMA gain for the marked-fraction estimate
 };
 
-// PowerTCP (arxiv 2112.14309).
-struct PowerTcpConfig {
-  double gamma = 0.9;     // EWMA weight of the power-derived target
-  double beta_mss = 1.0;  // additive bandwidth share, in MSS
-  double cap_bdps = 8.0;  // window cap as a multiple of the BDP
-};
-
-// Switch-assisted fair rate (arxiv 2106.14100): window = fair_rate·τ·margin.
-// The margin buys headroom for τ underestimating the true RTT; the clamp
-// still only ever lowers the VM's own window.
-struct FairRateConfig {
-  double window_rtts = 1.5;
-};
-
 struct VccConfig {
-  // ---- shared across algorithms ----
-  double initial_cwnd_packets = 10;  // RFC 6928 (§3.1)
-  std::uint32_t loss_dupacks = 3;
   // Fabric base-RTT estimate (µs): the τ fallback used until the flow's own
   // RFC 6298 estimator has a sample (VccEvent::base_rtt_us).
   double base_rtt_us = 40.0;
-  // ---- per-kind ----
   DctcpConfig dctcp;
-  PowerTcpConfig powertcp;
-  FairRateConfig fair;
 };
 
 class VirtualCc {
  public:
+  // Initial window (RFC 6928, §3.1); the policer's floor too.
+  static constexpr double kInitialCwndPackets = 10;
+
   virtual ~VirtualCc() = default;
   virtual std::string_view name() const = 0;
 
   // Prepares a fresh hot record (initial window, zeroed CC aux state).
-  void init(FlowHot& s, const VccConfig& cfg) const;
+  void init(FlowHot& s) const;
 
   // Updates s.cwnd_bytes from one ACK's worth of evidence. Fig. 5 flow:
   // congestion? loss? -> reduce (at most once per window) else grow. The
@@ -90,10 +72,21 @@ class VirtualCc {
                       const VccEvent& ev) const = 0;
 
   // Inferred retransmission timeout (§3.1, now RFC 6298-driven).
-  virtual void on_timeout(FlowHot& s, const VccConfig& cfg) const;
+  virtual void on_timeout(FlowHot& s) const;
 
  protected:
+  static constexpr std::uint32_t kLossDupacks = 3;
+
   // Shared helpers -------------------------------------------------------
+  // Fig. 5's loss signal: the duplicate-ACK threshold reached.
+  static bool is_loss(const VccEvent& ev) {
+    return ev.dupack && ev.dupacks >= kLossDupacks;
+  }
+  // Fig. 5's reduction, at most once per window: the first call in a window
+  // scales cwnd by `factor` (floored at min_cwnd_bytes), sets ssthresh to
+  // the result and pins the window boundary at snd_nxt. Returns false,
+  // changing nothing, when this window was already cut.
+  static bool reduce_once(FlowHot& s, double factor);
   // True when snd_una has passed the recorded window boundary; rolls the
   // window forward (one boundary per RTT worth of data).
   static bool window_rolled(FlowHot& s);
@@ -111,7 +104,7 @@ class VirtualDctcp : public VirtualCc {
   std::string_view name() const override { return "vdctcp"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
-  void on_timeout(FlowHot& s, const VccConfig& cfg) const override;
+  void on_timeout(FlowHot& s) const override;
 
   // Eq. 1: w *= 1 - (alpha - alpha*beta/2); beta = 1 is plain DCTCP.
   static double reduction_factor(double alpha, double beta);
@@ -129,12 +122,11 @@ class VirtualCubic : public VirtualCc {
   std::string_view name() const override { return "vcubic"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
-  void on_timeout(FlowHot& s, const VccConfig& cfg) const override;
+  void on_timeout(FlowHot& s) const override;
 
  private:
   static constexpr double kC = 0.4;
   static constexpr double kBeta = 0.7;
-  void cut(FlowHot& s) const;
   void grow(FlowHot& s, const VccEvent& ev) const;
 };
 
@@ -147,10 +139,15 @@ class VirtualCubic : public VirtualCc {
 // works (degraded) on paths without INT.
 class VirtualPowerTcp : public VirtualCc {
  public:
+  // The published constants.
+  static constexpr double kGamma = 0.9;    // EWMA weight of the target
+  static constexpr double kBetaMss = 1.0;  // additive share, in MSS
+  static constexpr double kCapBdps = 8.0;  // window cap, in BDPs
+
   std::string_view name() const override { return "vpowertcp"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
-  void on_timeout(FlowHot& s, const VccConfig& cfg) const override;
+  void on_timeout(FlowHot& s) const override;
 
   // BDP in bytes implied by one telemetry sample at base RTT τ (exposed for
   // tests).
@@ -162,13 +159,16 @@ class VirtualPowerTcp : public VirtualCc {
 // and the vSwitch drains it through the RWND rewrite: w = fair·τ·margin.
 class VirtualFairRate : public VirtualCc {
  public:
+  // The margin, in RTTs: headroom for τ underestimating the true RTT; the
+  // clamp still only ever lowers the VM's own window.
+  static constexpr double kWindowRtts = 1.5;
+
   std::string_view name() const override { return "vfairrate"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
 
   // The window a fair-share sample converts to (exposed for tests).
-  static double window_bytes(double tau_us, double window_rtts,
-                             std::uint32_t fair_bytes_per_ms);
+  static double window_bytes(double tau_us, std::uint32_t fair_bytes_per_ms);
 };
 
 // Returns the singleton algorithm for a policy kind.

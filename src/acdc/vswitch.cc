@@ -4,22 +4,32 @@
 
 namespace acdc::vswitch {
 
+namespace {
+
+// Packets the modules treat as the data direction: payload, SYN, FIN and
+// RST. RSTs count so the sender module sees them and can mark the entry
+// for fast GC (an aborted flow never sends a FIN).
+bool data_direction(const net::Packet& p) {
+  return p.payload_bytes > 0 || p.tcp.flags.syn || p.tcp.flags.fin ||
+         p.tcp.flags.rst;
+}
+
+}  // namespace
+
 AcdcVswitch::AcdcVswitch(sim::Simulator* sim, AcdcConfig config)
     : sender_(core_), receiver_(core_) {
   core_.sim = sim;
   core_.config = config;
   if (config.flow_table_max_entries > 0) {
     core_.table.set_limit(
-        static_cast<std::size_t>(config.flow_table_max_entries),
-        config.flow_table_overflow);
+        static_cast<std::size_t>(config.flow_table_max_entries));
   }
 }
 
 void AcdcVswitch::ensure_timers() {
   if (core_.config.infer_timeouts && !scan_armed_) {
     scan_armed_ = true;
-    core_.sim->schedule(core_.config.inactivity_scan_interval,
-                        [this] { run_inactivity_scan(); });
+    core_.sim->schedule(kScanInterval, [this] { run_inactivity_scan(); });
   }
   if (!gc_armed_) {
     gc_armed_ = true;
@@ -39,14 +49,13 @@ void AcdcVswitch::run_inactivity_scan() {
   }
   if (core_.table.size() > 0) {
     scan_armed_ = true;
-    core_.sim->schedule(core_.config.inactivity_scan_interval,
-                        [this] { run_inactivity_scan(); });
+    core_.sim->schedule(kScanInterval, [this] { run_inactivity_scan(); });
   }
 }
 
 void AcdcVswitch::run_gc() {
   gc_armed_ = false;
-  core_.table.collect_garbage(core_.sim->now(), core_.config.idle_timeout,
+  core_.table.collect_garbage(core_.sim->now(), kIdleTimeout,
                               core_.config.fin_linger);
   if (core_.table.size() > 0) {
     gc_armed_ = true;
@@ -56,12 +65,7 @@ void AcdcVswitch::run_gc() {
 
 void AcdcVswitch::handle_egress(net::PacketPtr packet) {
   ensure_timers();
-  // RSTs count as data-direction traffic so the sender module sees them and
-  // can mark the entry for fast GC (an aborted flow never sends a FIN).
-  const bool data_direction = packet->payload_bytes > 0 ||
-                              packet->tcp.flags.syn ||
-                              packet->tcp.flags.fin || packet->tcp.flags.rst;
-  if (data_direction && !sender_.process_egress(*packet)) {
+  if (data_direction(*packet) && !sender_.process_egress(*packet)) {
     return;  // policed
   }
   if (packet->tcp.flags.ack) {
@@ -71,8 +75,7 @@ void AcdcVswitch::handle_egress(net::PacketPtr packet) {
   // §3.2: ALL egress packets are marked ECN-capable — including SYNs and
   // pure ACKs — so no packet of a managed flow is WRED-dropped where it
   // could have been marked. The peer's receiver module strips the bits.
-  if (core_.config.mark_egress_ect &&
-      packet->ip.ecn == net::Ecn::kNotEct) {
+  if (core_.config.enforce && packet->ip.ecn == net::Ecn::kNotEct) {
     packet->ip.ecn = net::Ecn::kEct0;
   }
   send_down(std::move(packet));
@@ -80,10 +83,7 @@ void AcdcVswitch::handle_egress(net::PacketPtr packet) {
 
 void AcdcVswitch::handle_ingress(net::PacketPtr packet) {
   ensure_timers();
-  const bool data_direction = packet->payload_bytes > 0 ||
-                              packet->tcp.flags.syn ||
-                              packet->tcp.flags.fin || packet->tcp.flags.rst;
-  if (data_direction) {
+  if (data_direction(*packet)) {
     receiver_.process_ingress_data(*packet);
   }
   if (packet->tcp.flags.ack || packet->acdc_fack) {
@@ -112,9 +112,7 @@ void AcdcVswitch::prefetch_stage1(const net::Packet& p) const {
   // probe reads; when the reverse entry does exist, its own data packets
   // keep it warm.
   const FlowKey key = FlowKey::from_packet(p);
-  const bool data = p.payload_bytes > 0 || p.tcp.flags.syn ||
-                    p.tcp.flags.fin || p.tcp.flags.rst;
-  if (data) core_.table.prefetch_probe(key);
+  if (data_direction(p)) core_.table.prefetch_probe(key);
   if (p.tcp.flags.ack || p.acdc_fack) {
     core_.table.prefetch_probe(key.reversed());
   }
@@ -124,9 +122,7 @@ void AcdcVswitch::prefetch_stage2(const net::Packet& p) const {
   // Resolve each expected-hit probe on the stage-1-warmed ctrl bytes and
   // warm the record lines at the slot the lookup will actually land on.
   const FlowKey key = FlowKey::from_packet(p);
-  const bool data = p.payload_bytes > 0 || p.tcp.flags.syn ||
-                    p.tcp.flags.fin || p.tcp.flags.rst;
-  if (data) {
+  if (data_direction(p)) {
     core_.table.prefetch(key);
   } else if (p.tcp.flags.ack || p.acdc_fack) {
     // A pure ACK's whole purpose is the reversed-key entry — warm it fully.

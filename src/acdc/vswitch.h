@@ -31,6 +31,11 @@ namespace acdc::vswitch {
 
 class AcdcVswitch : public net::DuplexFilter {
  public:
+  // Period of the timeout-inference scan (§3.1).
+  static constexpr sim::Time kScanInterval = sim::milliseconds(10);
+  // The GC drops any entry idle this long, FIN-marked or not (§4).
+  static constexpr sim::Time kIdleTimeout = sim::seconds(60);
+
   AcdcVswitch(sim::Simulator* sim, AcdcConfig config);
 
   AcdcCore& core() { return core_; }

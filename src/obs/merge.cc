@@ -76,7 +76,7 @@ MergedTrace merge_streams(const std::vector<EventStream>& streams) {
   return out;
 }
 
-MergedTrace merge_recorders(const std::vector<const FlightRecorder*>& recs) {
+MergedTrace merge_recorders(const std::vector<FlightRecorder*>& recs) {
   // Snapshot each ring (oldest first) into a flat vector; rings are small
   // and bounded, so the copy is cheap relative to the merge.
   std::vector<EventStream> streams;
@@ -90,11 +90,6 @@ MergedTrace merge_recorders(const std::vector<const FlightRecorder*>& recs) {
     streams.push_back(std::move(s));
   }
   return merge_streams(streams);
-}
-
-MergedTrace merge_recorders(const std::vector<FlightRecorder*>& recs) {
-  std::vector<const FlightRecorder*> view(recs.begin(), recs.end());
-  return merge_recorders(view);
 }
 
 }  // namespace acdc::obs

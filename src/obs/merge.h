@@ -44,7 +44,6 @@ struct MergedTrace {
 // Merges the retained events of every recorder (oldest first per ring).
 // Null entries are skipped; a single-recorder merge is a cheap copy with
 // identical ordering, so serial and sharded paths share one code path.
-MergedTrace merge_recorders(const std::vector<const FlightRecorder*>& recs);
 MergedTrace merge_recorders(const std::vector<FlightRecorder*>& recs);
 
 // Same merge rule over raw event vectors with per-stream source tables —

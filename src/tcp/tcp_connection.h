@@ -138,8 +138,7 @@ class TcpConnection {
   std::int64_t delivered_bytes() const { return delivered_bytes_; }
   std::int64_t acked_payload_bytes() const { return acked_payload_bytes_; }
   std::int64_t queued_unsent_bytes() const {
-    return static_cast<std::int64_t>(write_seq_ - snd_nxt_) -
-           (fin_pending_ && !fin_sent_ ? 0 : 0);
+    return static_cast<std::int64_t>(write_seq_ - snd_nxt_);
   }
   const Stats& stats() const { return stats_; }
   const NsRttEstimator& rtt() const { return rtt_; }

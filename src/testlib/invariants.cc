@@ -60,9 +60,6 @@ class InvariantTap : public net::DuplexFilter {
   bool vm_side_;
 };
 
-InvariantChecker::InvariantChecker(InvariantConfig config)
-    : config_(config) {}
-
 InvariantChecker::~InvariantChecker() = default;
 
 void InvariantChecker::subscribe(obs::FlightRecorder& recorder) {
@@ -84,7 +81,7 @@ net::DuplexFilter* InvariantChecker::wire_tap(const std::string& host) {
 
 void InvariantChecker::fail(const std::string& message) {
   ++violation_count_;
-  if (violations_.size() < config_.max_reported) {
+  if (violations_.size() < kMaxReported) {
     violations_.push_back(message);
   }
 }
@@ -118,9 +115,9 @@ void InvariantChecker::on_event(const obs::TraceEvent& ev) {
       // only up to that floor.
       if (ev.a < 1) {
         msg << name << ": enforced window " << ev.a << " < 1";
-      } else if (ev.a > ev.b && ev.a > config_.min_rwnd_floor_bytes) {
+      } else if (ev.a > ev.b && ev.a > kMinRwndFloorBytes) {
         msg << name << ": enforced window " << ev.a << " above cwnd " << ev.b
-            << " and floor " << config_.min_rwnd_floor_bytes;
+            << " and floor " << kMinRwndFloorBytes;
       } else if (!in_unit_interval(ev.x)) {
         msg << name << ": alpha " << ev.x << " outside [0,1]";
       }
@@ -340,8 +337,7 @@ void InvariantChecker::on_wire_egress(const std::string& host,
   }
   // §3.2: everything the vSwitch sends is ECN-capable so WRED marks instead
   // of dropping. FACKs are emitted below the marking point and stay NotEct.
-  if (config_.expect_egress_ect && !p.acdc_fack &&
-      !net::ecn_capable(p.ip.ecn)) {
+  if (!p.acdc_fack && !net::ecn_capable(p.ip.ecn)) {
     msg << host << ": egress packet left vSwitch " << ecn_name(p.ip.ecn)
         << " (expected ECN-capable)";
     fail(msg.str());
@@ -353,37 +349,34 @@ void InvariantChecker::on_vm_ingress(const std::string& host,
   ++packets_checked_;
   std::ostringstream msg;
 
-  if (config_.expect_hidden_feedback) {
-    // §3.2/§3.3: the feedback machinery is invisible to the tenant.
-    if (p.tcp.options.acdc) {
-      msg << host << ": PACK option reached the VM";
-      fail(msg.str());
-      msg.str("");
-    }
-    if (p.acdc_fack) {
-      msg << host << ": FACK reached the VM";
-      fail(msg.str());
-      msg.str("");
-    }
-    // DESIGN.md §13: INT telemetry is fabric/vSwitch machinery; like the
-    // PACK option it must be stripped before the tenant boundary.
-    if (p.telem.has_value()) {
-      msg << host << ": INT telemetry stamp reached the VM";
-      fail(msg.str());
-      msg.str("");
-    }
-    if (p.tcp.flags.ack && !p.tcp.flags.syn && p.tcp.flags.ece) {
-      msg << host << ": ECN-Echo reached the VM";
-      fail(msg.str());
-      msg.str("");
-    }
+  // §3.2/§3.3: the feedback machinery is invisible to the tenant.
+  if (p.tcp.options.acdc) {
+    msg << host << ": PACK option reached the VM";
+    fail(msg.str());
+    msg.str("");
+  }
+  if (p.acdc_fack) {
+    msg << host << ": FACK reached the VM";
+    fail(msg.str());
+    msg.str("");
+  }
+  // DESIGN.md §13: INT telemetry is fabric/vSwitch machinery; like the
+  // PACK option it must be stripped before the tenant boundary.
+  if (p.telem.has_value()) {
+    msg << host << ": INT telemetry stamp reached the VM";
+    fail(msg.str());
+    msg.str("");
+  }
+  if (p.tcp.flags.ack && !p.tcp.flags.syn && p.tcp.flags.ece) {
+    msg << host << ": ECN-Echo reached the VM";
+    fail(msg.str());
+    msg.str("");
   }
 
   // §3.2: with ECN stripped at the receiver, a non-ECN tenant must see
   // unmarked data. (Pure ACKs are not stripped by design; a non-ECN stack
   // ignores their codepoint.)
-  if (config_.expect_clean_vm_data_ecn && p.payload_bytes > 0 &&
-      p.ip.ecn != net::Ecn::kNotEct) {
+  if (p.payload_bytes > 0 && p.ip.ecn != net::Ecn::kNotEct) {
     msg << host << ": data reached the VM carrying " << ecn_name(p.ip.ecn);
     fail(msg.str());
     msg.str("");
@@ -404,15 +397,9 @@ void InvariantChecker::on_vm_ingress(const std::string& host,
     fail(msg.str());
     msg.str("");
   }
-  if (config_.enforce) {
-    if (p.tcp.window_raw > pre.window_raw) {
-      msg << host << ": vSwitch RAISED advertised window " << pre.window_raw
-          << " -> " << p.tcp.window_raw;
-      fail(msg.str());
-    }
-  } else if (p.tcp.window_raw != pre.window_raw) {
-    msg << host << ": observer-mode vSwitch rewrote window "
-        << pre.window_raw << " -> " << p.tcp.window_raw;
+  if (p.tcp.window_raw > pre.window_raw) {
+    msg << host << ": vSwitch RAISED advertised window " << pre.window_raw
+        << " -> " << p.tcp.window_raw;
     fail(msg.str());
   }
   state.pending.erase(it);

@@ -35,24 +35,17 @@
 
 namespace acdc::testlib {
 
-struct InvariantConfig {
-  // Mirrors of the AcdcConfig knobs the packet-level checks depend on.
-  bool enforce = true;              // false: observer mode, RWND must be untouched
-  bool expect_egress_ect = true;    // mark_egress_ect
-  bool expect_hidden_feedback = true;  // hide_ecn_feedback + generate_feedback
-  // strip_ecn_at_receiver with non-ECN tenants: data reaching the VM must
-  // carry no ECN codepoint at all.
-  bool expect_clean_vm_data_ecn = true;
-  // kWindowEnforced floor sanity: enforced window may exceed cwnd only up
-  // to the min-RWND floor (one MSS; bounded by the largest MTU we run).
-  std::int64_t min_rwnd_floor_bytes = 9000;
-  // First violations kept verbatim; the rest only counted.
-  std::size_t max_reported = 16;
-};
-
+// The packet-level laws assume an enforcing vSwitch (AcdcConfig::enforce);
+// observer-mode runs are not checked.
 class InvariantChecker {
  public:
-  explicit InvariantChecker(InvariantConfig config = {});
+  // kWindowEnforced floor sanity: the enforced window may exceed cwnd only
+  // up to the min-RWND floor (one MSS; bounded by the largest MTU we run).
+  static constexpr std::int64_t kMinRwndFloorBytes = 9000;
+  // First violations kept verbatim; the rest only counted.
+  static constexpr std::size_t kMaxReported = 16;
+
+  InvariantChecker() = default;
   ~InvariantChecker();
 
   InvariantChecker(const InvariantChecker&) = delete;
@@ -118,7 +111,6 @@ class InvariantChecker {
   void on_vm_ingress(const std::string& host, HostState& state,
                      const net::Packet& p);
 
-  InvariantConfig config_;
   std::vector<std::unique_ptr<net::DuplexFilter>> taps_;
   std::map<std::string, std::unique_ptr<HostState>> hosts_;
   std::uint64_t next_uid_ = 1;

@@ -415,11 +415,9 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
 
   // Checkers are stateful and not thread-safe: one per shard, fed only by
   // that shard's recorder and hosts.
-  InvariantConfig ic;
-  ic.enforce = true;
   std::vector<std::unique_ptr<InvariantChecker>> checkers;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    checkers.push_back(std::make_unique<InvariantChecker>(ic));
+    checkers.push_back(std::make_unique<InvariantChecker>());
     if (options.check_invariants) checkers[s]->subscribe(*recorders[s]);
   }
   InvariantChecker& checker = *checkers[0];
@@ -640,7 +638,9 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
     }
     for (const auto& c : checkers) {
       for (const std::string& v : c->violations()) {
-        if (out.violations.size() < ic.max_reported) out.violations.push_back(v);
+        if (out.violations.size() < InvariantChecker::kMaxReported) {
+          out.violations.push_back(v);
+        }
       }
       out.violation_count += c->violation_count();
       out.packets_checked += c->packets_checked();

@@ -240,7 +240,7 @@ TEST_F(SenderModuleTest, InactivityScanFiresOncePerStall) {
   ASSERT_TRUE(egress(data_packet(1000, 10'000)));
   entry().cwnd_bytes = 500'000;
   // No ACKs arrive; jump past the inactivity timeout.
-  sim_.run_until(core_.config.inactivity_timeout + sim::milliseconds(1));
+  sim_.run_until(SenderModule::kInactivityTimeout + sim::milliseconds(1));
   EXPECT_EQ(sender_.infer_timeouts(sim_.now()), 1);
   EXPECT_DOUBLE_EQ(entry().cwnd_bytes,
                    static_cast<double>(entry().mss));

@@ -4,6 +4,8 @@
 // flow GC, and the §3.3 injection features.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "acdc/vswitch.h"
@@ -186,6 +188,59 @@ TEST(AcdcVswitchTest, ObserverModeComputesButDoesNotEnforce) {
   EXPECT_GT(c->peer_rwnd_bytes(), 1 << 20) << "peer window untouched";
 }
 
+TEST(AcdcVswitchTest, ObserverModeLeavesTenantTrafficUntouched) {
+  // Fig. 9's observer: enforce = false turns off every transform the VM
+  // could notice — RWND rewrite, egress ECT marking, CE stripping and ECE
+  // hiding — while the PACK/FACK machinery keeps feeding the virtual CC.
+  AcdcConfig cfg;
+  cfg.enforce = false;
+
+  // A non-ECN VM's data leaves unmarked, so a marking switch cannot mark it.
+  {
+    AcdcPair net(cfg);
+    net.tap_ab->mark_all_ = true;
+    TcpConnection* c = net.start_transfer(500'000, cubic_cfg());
+    net.sim.run_until(sim::seconds(1));
+    EXPECT_GT(net.tap_ab->data_packets_, 0);
+    EXPECT_EQ(net.tap_ab->ect_data_packets_, 0) << "no egress ECT marking";
+    EXPECT_EQ(net.tap_ab->marked_, 0);
+    EXPECT_EQ(net.b->connections()[0]->delivered_bytes(), 500'000);
+    EXPECT_EQ(c->stats().ecn_reductions, 0);
+  }
+
+  // An ECN VM: CE reaches the receiving VM, which echoes ECE, and the ECE
+  // reaches the sending VM, whose own stack reduces. The vSwitch still
+  // logs a window per ACK from the feedback it consumed, and never rewrites
+  // the RWND.
+  obs::FlightRecorder rec(256);
+  AcdcPair net(cfg);
+  net.tap_ab->mark_all_ = true;
+  int window_logs = 0;
+  std::int64_t min_window = INT64_MAX;
+  net.vs_a->attach_observability({.recorder = &rec, .name = "vs_a"});
+  const std::uint32_t vs_a = rec.register_source("vs_a");
+  rec.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type == obs::EventType::kWindowEnforced && ev.source == vs_a) {
+      ++window_logs;
+      min_window = std::min(min_window, ev.a);
+    }
+  });
+  TcpConfig ecn_cfg = cubic_cfg();
+  ecn_cfg.ecn = true;
+  TcpConnection* c = net.start_transfer(1'000'000, ecn_cfg);
+  net.sim.run_until(sim::seconds(2));
+  EXPECT_EQ(net.b->connections()[0]->delivered_bytes(), 1'000'000);
+  EXPECT_GT(net.tap_ab->marked_, 0);
+  EXPECT_GT(c->stats().ecn_reductions, 0) << "CE and ECE reach the VMs";
+  EXPECT_GT(net.vs_b->stats().packs_attached, 0) << "feedback generated";
+  EXPECT_GT(net.vs_a->stats().acks_processed, 0);
+  EXPECT_GT(window_logs, 0) << "windows still logged";
+  EXPECT_LT(min_window, 10 * 1448)
+      << "the consumed CE feedback cut the virtual window";
+  EXPECT_EQ(net.vs_a->stats().windows_lowered, 0) << "no RWND rewrite";
+  EXPECT_GT(c->peer_rwnd_bytes(), 1 << 20) << "peer window untouched";
+}
+
 TEST(AcdcVswitchTest, FackPathWhenPackDoesNotFit) {
   AcdcConfig cfg;
   cfg.mtu_bytes = 48;  // force every PACK to overflow into a FACK
@@ -257,11 +312,11 @@ TEST(AcdcVswitchTest, RwndCapBoundsFlow) {
 }
 
 TEST(AcdcVswitchTest, InfersTimeoutsOnStall) {
-  AcdcConfig cfg;
-  cfg.inactivity_timeout = sim::milliseconds(20);
-  AcdcPair net(cfg);
+  AcdcPair net;
   TcpConfig slow = cubic_cfg();
-  slow.min_rto = sim::milliseconds(200);  // VM recovers slower than AC/DC
+  // The VM recovers slower than AC/DC's sample-less inactivity timeout.
+  slow.min_rto = sim::milliseconds(200);
+  ASSERT_LT(vswitch::SenderModule::kInactivityTimeout, slow.min_rto);
   net.b->listen(80, slow);
   TcpConnection* c = net.a->connect(net.b->ip(), 80, slow);
   c->on_established = [&, c] {

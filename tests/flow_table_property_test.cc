@@ -360,27 +360,24 @@ TEST_F(FlowCacheEvictionTest, GcNeverLeavesStaleCacheAcrossAllSlots) {
   EXPECT_GE(core_.stats.flow_cache_misses - misses, 4);
 }
 
-TEST_F(FlowCacheEvictionTest, RejectedAdmissionIsNeverCached) {
-  core_.table.set_limit(1, FlowTable::OverflowPolicy::kReject);
-  FlowRef resident = core_.entry(key_n(1), AcdcCore::kCacheSndEgress);
-  ASSERT_TRUE(resident);
-  const FlowHandle resident_handle = resident.handle;
-
-  // Every rejected lookup must go to the table (caching the null result
-  // would go stale-positive the moment the resident flow leaves).
-  EXPECT_FALSE(core_.entry(key_n(2), AcdcCore::kCacheSndIngressAck));
-  EXPECT_FALSE(core_.entry(key_n(2), AcdcCore::kCacheSndIngressAck));
-  EXPECT_EQ(core_.table.stats().admission_rejects, 2);
-
-  // The resident flow stays served, including through the cache.
-  EXPECT_EQ(core_.entry(key_n(1), AcdcCore::kCacheSndEgress).handle,
-            resident_handle);
-
-  // Once the resident leaves, the previously rejected flow must be admitted.
-  ASSERT_TRUE(core_.table.erase(key_n(1)));
-  FlowRef admitted = core_.entry(key_n(2), AcdcCore::kCacheSndIngressAck);
-  ASSERT_TRUE(admitted);
-  EXPECT_EQ(core_.table.find(key_n(2)).handle, admitted.handle);
+TEST_F(FlowCacheEvictionTest, CappedEntryAdmitsEveryNewKeyByEvicting) {
+  // At the cap a new flow is never refused: entry() evicts the oldest-idle
+  // flow, so it never returns null and nothing passes through unmanaged.
+  core_.table.set_limit(1);
+  const int slots[] = {AcdcCore::kCacheSndEgress,
+                       AcdcCore::kCacheSndIngressAck,
+                       AcdcCore::kCacheRcvIngressData,
+                       AcdcCore::kCacheRcvEgressAck};
+  for (int n = 1; n <= 8; ++n) {
+    FlowRef f = core_.entry(key_n(n), slots[n % 4]);
+    ASSERT_TRUE(f) << "key " << n << " refused at the cap";
+    EXPECT_TRUE(f.created);
+    EXPECT_EQ(core_.table.find(key_n(n)).handle, f.handle);
+    EXPECT_FALSE(core_.table.find(key_n(n - 1))) << "previous key evicted";
+    EXPECT_EQ(core_.table.size(), 1u);
+  }
+  EXPECT_EQ(core_.table.stats().evictions, 7);
+  EXPECT_EQ(core_.table.stats().admission_rejects, 0);
 }
 
 }  // namespace
