@@ -23,7 +23,9 @@
 //               best trial over seven interleaved pairs; the post-run merge +
 //               delay attribution is timed separately as
 //               forensics_analysis_ms). run_perf.sh --check gates the tap
-//               overhead at <= 10%.
+//               overhead at <= 10%. The untraced arm also counts heap
+//               allocations per delivered packet over the second half of the
+//               horizon (e2e_allocs_per_packet_steady, gated at <= 0.25).
 //
 // Output: a flat JSON object on stdout (or --json <path>); bench/run_perf.sh
 // merges it with the committed pre-PR baseline into BENCH_datapath.json.
@@ -266,6 +268,15 @@ struct OverheadSample {
   double traced_pps = 0;
   double overhead_pct = 0;   // positive = tracing is slower
   double analysis_ms = 0;    // post-run merge + delay-attribution wall time
+  double untraced_allocs_per_packet = 0;  // worst trial, second half only
+};
+
+struct E2eSample {
+  double pps = 0;
+  // Heap allocations per NIC-delivered packet over the second half of the
+  // horizon, once connections, pools and buffers have reached their
+  // high-water marks.
+  double allocs_per_packet_steady = 0;
 };
 
 // End-to-end dumbbell (4 bulk flows) measured as NIC-delivered packets per
@@ -273,8 +284,8 @@ struct OverheadSample {
 // tx-start / deliver events into the ring) — exactly what a user
 // debugging latency would enable — and the post-run merge + forensics
 // analysis is timed separately into *analysis_ms.
-double run_dumbbell_e2e(bool traced, sim::Time horizon,
-                        double* analysis_ms = nullptr) {
+E2eSample run_dumbbell_e2e(bool traced, sim::Time horizon,
+                           double* analysis_ms = nullptr) {
   exp::DumbbellConfig dc;
   dc.scenario.seed = 11;
   dc.pairs = 4;
@@ -296,9 +307,22 @@ double run_dumbbell_e2e(bool traced, sim::Time horizon,
                      sim::microseconds(10 + i));
   }
 
+  auto delivered = [&] {
+    std::int64_t packets = 0;
+    for (int i = 0; i < dc.pairs; ++i) {
+      packets += bell.sender(i)->nic().received_packets();
+      packets += bell.receiver(i)->nic().received_packets();
+    }
+    return packets;
+  };
+
   const auto t0 = Clock::now();
+  sc.run_until(horizon / 2);
+  const std::int64_t half_packets = delivered();
+  const bench::AllocWindow aw;
   sc.run_until(horizon);
   const auto t1 = Clock::now();
+  const std::uint64_t steady_allocs = aw.allocs();
   // Post-run merge + analysis is a debugging cost paid once per run, not a
   // per-packet tax; report its wall time separately instead of folding it
   // into the pps figure the overhead gate compares.
@@ -316,16 +340,17 @@ double run_dumbbell_e2e(bool traced, sim::Time horizon,
     }
   }
 
-  std::int64_t packets = 0;
-  for (int i = 0; i < dc.pairs; ++i) {
-    packets += bell.sender(i)->nic().received_packets();
-    packets += bell.receiver(i)->nic().received_packets();
-  }
+  const std::int64_t packets = delivered();
   if (traced && analyzed == 0) {
     std::fprintf(stderr, "forensics analyzed no packets?\n");
   }
-  return static_cast<double>(packets) /
-         std::chrono::duration<double>(t1 - t0).count();
+  E2eSample s;
+  s.pps = static_cast<double>(packets) /
+          std::chrono::duration<double>(t1 - t0).count();
+  s.allocs_per_packet_steady =
+      static_cast<double>(steady_allocs) /
+      static_cast<double>(std::max<std::int64_t>(1, packets - half_packets));
+  return s;
 }
 
 OverheadSample run_tracing_overhead(sim::Time horizon) {
@@ -340,10 +365,12 @@ OverheadSample run_tracing_overhead(sim::Time horizon) {
   // half of a short pair it lands on; seven pairs gives each arm enough
   // shots at an unperturbed trial.
   for (int trial = 0; trial < 7; ++trial) {
-    const double untraced = run_dumbbell_e2e(false, horizon);
+    const E2eSample untraced = run_dumbbell_e2e(false, horizon);
     double analysis_ms = 0;
-    const double traced = run_dumbbell_e2e(true, horizon, &analysis_ms);
-    s.untraced_pps = std::max(s.untraced_pps, untraced);
+    const double traced = run_dumbbell_e2e(true, horizon, &analysis_ms).pps;
+    s.untraced_pps = std::max(s.untraced_pps, untraced.pps);
+    s.untraced_allocs_per_packet = std::max(
+        s.untraced_allocs_per_packet, untraced.allocs_per_packet_steady);
     if (traced > s.traced_pps) {
       s.traced_pps = traced;
       s.analysis_ms = analysis_ms;
@@ -406,9 +433,10 @@ int main(int argc, char** argv) {
         acdc::run_tracing_overhead(acdc::sim::milliseconds(overhead_ms));
     std::fprintf(stderr,
                  "tracing overhead: %.2f Mpps untraced, %.2f Mpps traced "
-                 "(%.1f%%), analysis %.1f ms\n",
+                 "(%.1f%%), analysis %.1f ms; e2e %.3f allocs/pkt steady\n",
                  overhead.untraced_pps / 1e6, overhead.traced_pps / 1e6,
-                 overhead.overhead_pct, overhead.analysis_ms);
+                 overhead.overhead_pct, overhead.analysis_ms,
+                 overhead.untraced_allocs_per_packet);
   }
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
@@ -466,9 +494,11 @@ int main(int argc, char** argv) {
                  "  \"e2e_pps_untraced\": %.0f,\n"
                  "  \"e2e_pps_traced\": %.0f,\n"
                  "  \"tracing_overhead_pct\": %.2f,\n"
-                 "  \"forensics_analysis_ms\": %.2f",
+                 "  \"forensics_analysis_ms\": %.2f,\n"
+                 "  \"e2e_allocs_per_packet_steady\": %.4f",
                  overhead.untraced_pps, overhead.traced_pps,
-                 overhead.overhead_pct, overhead.analysis_ms);
+                 overhead.overhead_pct, overhead.analysis_ms,
+                 overhead.untraced_allocs_per_packet);
   }
   if (!sweep.empty()) {
     std::fprintf(out,

@@ -181,6 +181,9 @@ print(f"wrote {os.environ['OUT']}")
 for k, v in merged["speedup"].items():
     print(f"  {k}: {v}x vs baseline ({baseline['recorded_at_commit']})")
 print(f"  allocs/packet steady: {current['allocs_per_packet_steady']}")
+if "e2e_allocs_per_packet_steady" in current:
+    print("  e2e allocs/packet steady: "
+          f"{current['e2e_allocs_per_packet_steady']}")
 print(f"  churn flows/sec wall: {churn['churn_flows_per_sec_wall']:.0f} "
       f"({merged['churn']['speedup']['churn_flows_per_sec_wall']}x vs "
       f"baseline, table peak {churn['churn_table_peak']}/"
@@ -231,6 +234,12 @@ if os.environ["CHECK"] == "1":
     if current["allocs_per_packet_steady"] > 0.01:
         failed.append("allocs_per_packet_steady "
                       f"{current['allocs_per_packet_steady']} > 0.01")
+    # The whole dumbbell (TCP, NIC, ports, vSwitch, event queue) in its
+    # second half: a deterministic count, so a trip is a real per-packet
+    # allocation, not noise.
+    e2e_allocs = current.get("e2e_allocs_per_packet_steady")
+    if e2e_allocs is not None and e2e_allocs > 0.25:
+        failed.append(f"e2e_allocs_per_packet_steady {e2e_allocs} > 0.25")
     # The sharded engine must scale on real multi-core hardware. Only
     # enforced with >= 8 hardware threads: below that, worker spinning on
     # an oversubscribed machine legitimately makes t8 slower than t1.

@@ -1,6 +1,7 @@
 #include "net/nic.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace acdc::net {
@@ -49,12 +50,15 @@ void Nic::drain_rx() {
   // Swap out the buffer first: burst processing can deliver new packets
   // back into this NIC synchronously (vSwitch-injected ACKs, forwarded
   // traffic), which must start a fresh batch rather than mutate this one.
-  std::vector<PacketPtr> batch;
-  batch.swap(rx_buf_);
-  for (std::size_t i = 0; i < batch.size(); i += kRxBurst) {
-    const std::size_t n = std::min(kRxBurst, batch.size() - i);
-    up_->receive_burst(&batch[i], n);
+  // The two vectors trade places on every drain, so neither loses its
+  // capacity and steady-state receives do not allocate.
+  assert(rx_batch_.empty());
+  rx_batch_.swap(rx_buf_);
+  for (std::size_t i = 0; i < rx_batch_.size(); i += kRxBurst) {
+    const std::size_t n = std::min(kRxBurst, rx_batch_.size() - i);
+    up_->receive_burst(&rx_batch_[i], n);
   }
+  rx_batch_.clear();
 }
 
 void Nic::set_trace(obs::FlightRecorder* recorder) {

@@ -66,6 +66,7 @@ class Nic : public PacketSink {
   std::int64_t received_packets_ = 0;
   std::int64_t received_bytes_ = 0;
   std::vector<PacketPtr> rx_buf_;
+  std::vector<PacketPtr> rx_batch_;  // drain_rx's batch; keeps its capacity
   bool rx_drain_scheduled_ = false;
 };
 

@@ -35,30 +35,33 @@ std::uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.action.reset();
-  slot.armed = false;
-  slot.cancelled = false;
   // Bumping the generation here invalidates every EventId already handed out
-  // for this slot, so cancels arriving after the fire are no-ops.
+  // for this slot, so cancels arriving after the fire or cancel are no-ops.
   ++slot.generation;
   if (slot.generation == 0) slot.generation = 1;  // keep ids nonzero
   slot.next_free = free_head_;
   free_head_ = index;
 }
 
+void EventQueue::place(std::size_t i, const Entry& entry) {
+  heap_[i] = entry;
+  slots_[entry.slot].heap_pos = static_cast<std::uint32_t>(i);
+}
+
 void EventQueue::sift_up(std::size_t i) {
-  Entry moving = heap_[i];
+  const Entry moving = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!earlier(moving, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = moving;
+  place(i, moving);
 }
 
 void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  Entry moving = heap_[i];
+  const Entry moving = heap_[i];
   for (;;) {
     const std::size_t first_child = 4 * i + 1;
     if (first_child >= n) break;
@@ -69,16 +72,24 @@ void EventQueue::sift_down(std::size_t i) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
     if (!earlier(heap_[best], moving)) break;
-    heap_[i] = heap_[best];
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = moving;
+  place(i, moving);
 }
 
-void EventQueue::pop_heap_top() {
-  heap_[0] = heap_.back();
+// Fills the hole at `i` with the last entry, which may belong either above
+// or below it.
+void EventQueue::remove_at(std::size_t i) {
+  const Entry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (i == heap_.size()) return;
+  heap_[i] = last;
+  if (i > 0 && earlier(last, heap_[(i - 1) / 4])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
 }
 
 EventId EventQueue::schedule(Time at, EventAction action) {
@@ -94,53 +105,27 @@ EventId EventQueue::schedule(Time at, std::uint64_t key, std::uint64_t tie_seq,
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.action = std::move(action);
-  slot.armed = true;
   heap_.push_back(Entry{at, key, tie_seq, index});
   sift_up(heap_.size() - 1);
-  ++live_count_;
   return pack_id(slot.generation, index);
 }
 
 void EventQueue::cancel(EventId id) {
   if (id == kInvalidEventId) return;
   const std::uint32_t index = id_slot(id);
-  if (index >= slots_.size()) return;
-  Slot& slot = slots_[index];
-  if (!slot.armed || slot.cancelled || slot.generation != id_generation(id)) {
+  if (index >= slots_.size() || slots_[index].generation != id_generation(id)) {
     return;  // already fired, already cancelled, or a recycled slot
   }
-  slot.cancelled = true;
-  assert(live_count_ > 0);
-  --live_count_;
-}
-
-void EventQueue::drop_cancelled_head() {
-  while (!heap_.empty()) {
-    const std::uint32_t index = heap_[0].slot;
-    if (!slots_[index].cancelled) return;
-    release_slot(index);
-    pop_heap_top();
-  }
-}
-
-Time EventQueue::next_time() const {
-  // The head may hold cancelled tombstones; reaping them early keeps this
-  // O(1) amortized and is observably pure, so the const_cast is safe.
-  auto* self = const_cast<EventQueue*>(this);
-  self->drop_cancelled_head();
-  if (heap_.empty()) return kNoTime;
-  return heap_[0].at;
+  remove_at(slots_[index].heap_pos);
+  release_slot(index);
 }
 
 EventQueue::Next EventQueue::take_next() {
-  drop_cancelled_head();
   assert(!heap_.empty());
-  const Entry top = heap_[0];
-  Slot& slot = slots_[top.slot];
-  Next next{top.at, std::move(slot.action)};
-  release_slot(top.slot);
-  pop_heap_top();
-  --live_count_;
+  const std::uint32_t index = heap_[0].slot;
+  Next next{heap_[0].at, std::move(slots_[index].action)};
+  remove_at(0);
+  release_slot(index);
   ++executed_;
   return next;
 }

@@ -1,9 +1,13 @@
 // Allocation-free event queue: a 4-ary heap of POD entries over out-of-line
-// slot storage, with generation-tagged O(1) lazy cancellation.
+// slot storage, with generation-tagged O(log n) removal on cancel.
 //
 // Design notes (this is the simulator's hottest structure):
-//  - Heap entries are 24-byte PODs {time, seq, slot}; sift operations move
-//    only these, never the callbacks.
+//  - Heap entries are 32-byte PODs {time, key, seq, slot}; sift operations
+//    move only these, never the callbacks. Each slot records its entry's
+//    heap position, so cancel() takes the entry out of the heap at once and
+//    the heap only ever holds live events. This matters because TCP
+//    re-arms its RTO on every ACK: flagged-but-kept entries would outnumber
+//    the live ones by two orders of magnitude.
 //  - Callbacks live in a slot arena (EventAction, small-buffer optimized) and
 //    are addressed by index; slots are recycled through a freelist, so
 //    steady-state schedule/cancel/fire churn performs zero heap traffic once
@@ -77,11 +81,11 @@ class EventQueue {
   // simple.
   void cancel(EventId id);
 
-  bool empty() const { return live_count_ == 0; }
-  std::size_t size() const { return live_count_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   // Time of the earliest pending event; kNoTime when empty.
-  Time next_time() const;
+  Time next_time() const { return heap_.empty() ? kNoTime : heap_[0].at; }
 
   struct Next {
     Time at = 0;
@@ -109,12 +113,13 @@ class EventQueue {
     std::uint32_t slot = 0;              // index into slots_
   };
 
+  // A slot's generation matches an outstanding EventId only while its event
+  // is in the heap: release_slot() bumps it on fire and on cancel.
   struct Slot {
     EventAction action;
     std::uint32_t generation = 1;
     std::uint32_t next_free = kNoSlot;
-    bool armed = false;      // between schedule and fire/skip
-    bool cancelled = false;  // lazily reaped when it reaches the heap top
+    std::uint32_t heap_pos = 0;  // index of this slot's entry in heap_
   };
 
   static bool earlier(const Entry& a, const Entry& b) {
@@ -125,16 +130,15 @@ class EventQueue {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
+  void place(std::size_t i, const Entry& entry);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void pop_heap_top();
-  void drop_cancelled_head();
+  void remove_at(std::size_t i);
 
   std::vector<Entry> heap_;  // 4-ary min-heap ordered by earlier()
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_count_ = 0;
   std::uint64_t executed_ = 0;
 };
 

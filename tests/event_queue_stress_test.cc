@@ -1,10 +1,14 @@
 // Stress tests for the 4-ary-heap event queue: cancellation via
-// generation-tagged ids, FIFO tie-breaking at equal timestamps, and
-// determinism of the full pop order under randomized schedule/cancel churn.
+// generation-tagged ids, FIFO tie-breaking at equal timestamps, the full pop
+// order under randomized schedule/cancel churn checked against a reference
+// model, and a heap that stays at its live size under timer re-arming.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -86,58 +90,93 @@ TEST(EventQueueTest, NextTimeSkipsCancelledHead) {
   EXPECT_EQ(q.next_time(), 20);
 }
 
-// Pop everything and return the execution order tags.
-std::vector<int> drain(EventQueue& q) {
-  std::vector<int> order;
-  while (!q.empty()) q.take_next().action();
-  return order;
-}
-
-// Randomized churn: schedule/cancel with duplicate timestamps, and verify
-// (a) cancelled events never run, (b) survivors run in (time, insertion)
-// order, (c) two identically-seeded runs produce identical orders.
+// Randomized churn against a reference model: a std::set of the live
+// events' (at, key, seq) order tuples. Unkeyed, keyed and explicit
+// mail_tie_seq events are mixed with coarse times and keys so ties are
+// common, and cancels pick random live events, i.e. random heap positions,
+// so the hole-filling entry must sometimes move up and sometimes down. Every
+// pop must be the model's minimum; a cancelled event never runs. Returns the
+// execution order so identically-seeded runs can be compared.
 std::vector<int> churn_run(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   EventQueue q;
+  // (at, key, seq, tag). Local events order by insertion, so a test-side
+  // counter stands in for the queue's own sequence; explicit tie sequences
+  // carry kExplicitTieSeqBit and sort after every local one.
+  using Model = std::tuple<Time, std::uint64_t, std::uint64_t, int>;
+  std::set<Model> model;
+  std::vector<std::pair<EventId, Model>> live;
+  std::vector<EventId> retired;  // fired or cancelled: stale from then on
   std::vector<int> executed;
-  struct Live {
-    EventId id;
-    int tag;
-  };
-  std::vector<Live> live;
-  std::vector<int> cancelled;
+  std::uint64_t local_seq = 0;
+  std::uint64_t mail_seq = 0;
   int tag = 0;
+
+  auto pop_one = [&] {
+    ASSERT_FALSE(model.empty());
+    const Model expected = *model.begin();
+    model.erase(model.begin());
+    EXPECT_EQ(q.next_time(), std::get<0>(expected));
+    EventQueue::Next next = q.take_next();
+    EXPECT_EQ(next.at, std::get<0>(expected));
+    next.action();
+    ASSERT_EQ(executed.back(), std::get<3>(expected))
+        << "pop order diverged from the (at, key, seq) model";
+    const int done = executed.back();
+    const auto it = std::find_if(live.begin(), live.end(), [done](const auto& l) {
+      return std::get<3>(l.second) == done;
+    });
+    retired.push_back(it->first);
+    live.erase(it);
+  };
+
   for (int round = 0; round < 20'000; ++round) {
     const auto action = rng() % 10;
     if (action < 7 || live.empty()) {
-      // Coarse timestamps force heavy ties.
       const Time at = static_cast<Time>(rng() % 64);
       const int t = tag++;
-      live.push_back({q.schedule(at, [&executed, t] { executed.push_back(t); }),
-                      t});
+      auto fire = [&executed, t] { executed.push_back(t); };
+      EventId id = kInvalidEventId;
+      Model m;
+      switch (rng() % 3) {
+        case 0:
+          id = q.schedule(at, fire);
+          m = {at, kUnkeyedTieKey, ++local_seq, t};
+          break;
+        case 1: {
+          const std::uint64_t key = rng() % 4;
+          id = q.schedule(at, key, fire);
+          m = {at, key, ++local_seq, t};
+          break;
+        }
+        default: {
+          const std::uint64_t key = rng() % 4;
+          const std::uint64_t seq =
+              mail_tie_seq(static_cast<std::uint32_t>(rng() % 3), ++mail_seq);
+          id = q.schedule(at, key, seq, fire);
+          m = {at, key, seq, t};
+          break;
+        }
+      }
+      model.insert(m);
+      live.emplace_back(id, m);
     } else {
       const std::size_t idx = rng() % live.size();
-      q.cancel(live[idx].id);
-      cancelled.push_back(live[idx].tag);
+      q.cancel(live[idx].first);
+      retired.push_back(live[idx].first);
+      model.erase(live[idx].second);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+      // A stale id, whose slot may since hold a new event, is a no-op.
+      q.cancel(retired[rng() % retired.size()]);
     }
-    // Interleave some pops so slots recycle mid-stream. The popped event is
-    // no longer cancellable, so retire its tag from the live list.
-    if (rng() % 13 == 0 && !q.empty()) {
-      q.take_next().action();
-      const int done = executed.back();
-      live.erase(std::remove_if(live.begin(), live.end(),
-                                [done](const Live& l) { return l.tag == done; }),
-                 live.end());
-    }
+    EXPECT_EQ(q.size(), model.size());
+    // Interleave some pops so slots recycle mid-stream.
+    if (rng() % 13 == 0 && !q.empty()) pop_one();
+    if (::testing::Test::HasFailure()) return executed;
   }
-  const std::vector<int> rest = drain(q);
-  (void)rest;
-  // No cancelled tag may have executed.
-  for (int c : cancelled) {
-    EXPECT_EQ(std::find(executed.begin(), executed.end(), c), executed.end())
-        << "cancelled event " << c << " executed";
-  }
+  while (!q.empty() && !::testing::Test::HasFailure()) pop_one();
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(q.next_time(), kNoTime);
   return executed;
 }
 
@@ -148,6 +187,28 @@ TEST(EventQueueStressTest, CancelChurnIsDeterministic) {
   EXPECT_EQ(a, b) << "identical seeds must produce identical pop orders";
   // ~70% of 20k rounds schedule and ~30% cancel, so well over 5k survive.
   EXPECT_GT(a.size(), 5'000u);
+}
+
+// The tenant stack's RTO pattern: every ACK cancels the pending far timer
+// and arms a new one 10 ms out, while near events keep firing. A cancelled
+// entry must leave the heap at once rather than linger until its time.
+TEST(EventQueueStressTest, RearmChurnKeepsHeapAtLiveSize) {
+  EventQueue q;
+  Time now = 0;
+  int rto_fired = 0;
+  EventId rto = kInvalidEventId;
+  for (int round = 0; round < 100'000; ++round) {
+    q.cancel(rto);
+    rto = q.schedule(now + milliseconds(10), [&rto_fired] { ++rto_fired; });
+    q.schedule(now + microseconds(1), [] {});
+    EventQueue::Next next = q.take_next();
+    now = next.at;
+    next.action();
+  }
+  EXPECT_EQ(rto_fired, 0);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_LE(q.heap_capacity(), 64u);
+  EXPECT_LE(q.slot_capacity(), 64u);
 }
 
 TEST(EventQueueStressTest, SlotsRecycleInsteadOfGrowing) {
