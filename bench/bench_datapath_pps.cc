@@ -25,7 +25,10 @@
 //               forensics_analysis_ms). run_perf.sh --check gates the tap
 //               overhead at <= 10%. The untraced arm also counts heap
 //               allocations per delivered packet over the second half of the
-//               horizon (e2e_allocs_per_packet_steady, gated at <= 0.25).
+//               horizon (e2e_allocs_per_packet_steady, gated at <= 0.25)
+//               and simulator events executed per delivered packet over the
+//               whole horizon (e2e_events_per_packet, a deterministic count
+//               that run_perf.sh --check also gates).
 //
 // Output: a flat JSON object on stdout (or --json <path>); bench/run_perf.sh
 // merges it with the committed pre-PR baseline into BENCH_datapath.json.
@@ -269,6 +272,7 @@ struct OverheadSample {
   double overhead_pct = 0;   // positive = tracing is slower
   double analysis_ms = 0;    // post-run merge + delay-attribution wall time
   double untraced_allocs_per_packet = 0;  // worst trial, second half only
+  double untraced_events_per_packet = 0;  // identical in every trial
 };
 
 struct E2eSample {
@@ -277,6 +281,8 @@ struct E2eSample {
   // horizon, once connections, pools and buffers have reached their
   // high-water marks.
   double allocs_per_packet_steady = 0;
+  // Simulator events executed per NIC-delivered packet, whole horizon.
+  double events_per_packet = 0;
 };
 
 // End-to-end dumbbell (4 bulk flows) measured as NIC-delivered packets per
@@ -350,6 +356,8 @@ E2eSample run_dumbbell_e2e(bool traced, sim::Time horizon,
   s.allocs_per_packet_steady =
       static_cast<double>(steady_allocs) /
       static_cast<double>(std::max<std::int64_t>(1, packets - half_packets));
+  s.events_per_packet = static_cast<double>(sc.executed_events()) /
+                        static_cast<double>(std::max<std::int64_t>(1, packets));
   return s;
 }
 
@@ -371,6 +379,7 @@ OverheadSample run_tracing_overhead(sim::Time horizon) {
     s.untraced_pps = std::max(s.untraced_pps, untraced.pps);
     s.untraced_allocs_per_packet = std::max(
         s.untraced_allocs_per_packet, untraced.allocs_per_packet_steady);
+    s.untraced_events_per_packet = untraced.events_per_packet;
     if (traced > s.traced_pps) {
       s.traced_pps = traced;
       s.analysis_ms = analysis_ms;
@@ -433,10 +442,12 @@ int main(int argc, char** argv) {
         acdc::run_tracing_overhead(acdc::sim::milliseconds(overhead_ms));
     std::fprintf(stderr,
                  "tracing overhead: %.2f Mpps untraced, %.2f Mpps traced "
-                 "(%.1f%%), analysis %.1f ms; e2e %.3f allocs/pkt steady\n",
+                 "(%.1f%%), analysis %.1f ms; e2e %.3f allocs/pkt steady, "
+                 "%.3f events/pkt\n",
                  overhead.untraced_pps / 1e6, overhead.traced_pps / 1e6,
                  overhead.overhead_pct, overhead.analysis_ms,
-                 overhead.untraced_allocs_per_packet);
+                 overhead.untraced_allocs_per_packet,
+                 overhead.untraced_events_per_packet);
   }
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
@@ -495,10 +506,12 @@ int main(int argc, char** argv) {
                  "  \"e2e_pps_traced\": %.0f,\n"
                  "  \"tracing_overhead_pct\": %.2f,\n"
                  "  \"forensics_analysis_ms\": %.2f,\n"
-                 "  \"e2e_allocs_per_packet_steady\": %.4f",
+                 "  \"e2e_allocs_per_packet_steady\": %.4f,\n"
+                 "  \"e2e_events_per_packet\": %.4f",
                  overhead.untraced_pps, overhead.traced_pps,
                  overhead.overhead_pct, overhead.analysis_ms,
-                 overhead.untraced_allocs_per_packet);
+                 overhead.untraced_allocs_per_packet,
+                 overhead.untraced_events_per_packet);
   }
   if (!sweep.empty()) {
     std::fprintf(out,

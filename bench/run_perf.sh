@@ -184,6 +184,8 @@ print(f"  allocs/packet steady: {current['allocs_per_packet_steady']}")
 if "e2e_allocs_per_packet_steady" in current:
     print("  e2e allocs/packet steady: "
           f"{current['e2e_allocs_per_packet_steady']}")
+if "e2e_events_per_packet" in current:
+    print(f"  e2e events/packet: {current['e2e_events_per_packet']}")
 print(f"  churn flows/sec wall: {churn['churn_flows_per_sec_wall']:.0f} "
       f"({merged['churn']['speedup']['churn_flows_per_sec_wall']}x vs "
       f"baseline, table peak {churn['churn_table_peak']}/"
@@ -240,6 +242,14 @@ if os.environ["CHECK"] == "1":
     e2e_allocs = current.get("e2e_allocs_per_packet_steady")
     if e2e_allocs is not None and e2e_allocs > 0.25:
         failed.append(f"e2e_allocs_per_packet_steady {e2e_allocs} > 0.25")
+    # Simulator events per delivered packet in the same run, also a
+    # deterministic count, so a trip means the packet path grew an event.
+    # It reads 4.29 at --quick (100 ms) and 4.15 in a full run (200 ms),
+    # and about 7 when every transmission scheduled its tx-done and every
+    # NIC arrival its rx drain.
+    e2e_events = current.get("e2e_events_per_packet")
+    if e2e_events is not None and e2e_events > 4.5:
+        failed.append(f"e2e_events_per_packet {e2e_events} > 4.5")
     # The sharded engine must scale on real multi-core hardware. Only
     # enforced with >= 8 hardware threads: below that, worker spinning on
     # an oversubscribed machine legitimately makes t8 slower than t1.

@@ -7,9 +7,10 @@
 //   ingress: [receiver] count + strip ECN            ->
 //            [sender] feedback, virtual CC, RWND enforcement -> VM
 //
-// Both directions also take bursts (handle_*_burst; the NIC's rx coalescer
-// feeds the ingress one): a prefetch pass warms the flow-table lines ahead
-// of per-packet processing — same semantics, fewer stalls (DESIGN.md §14).
+// Both directions also take bursts (handle_*_burst, for callers that hold
+// a batch, such as the multiflow bench): a prefetch pass warms the
+// flow-table lines ahead of per-packet processing — same semantics, fewer
+// stalls (DESIGN.md §14).
 //
 // Also hosts the periodic inactivity scan (timeout inference, §3.1), the
 // flow-table garbage collector (§4) and the §3.3 flexibility features

@@ -1,14 +1,13 @@
 // Host NIC: an egress transmit port plus the ingress handoff to the host's
-// datapath. The ingress side coalesces same-tick arrivals into rx bursts of
-// up to kRxBurst, handing the datapath receive_burst() batches the way a
-// real NIC's rx ring hands DPDK a burst — the AC/DC vSwitch uses the batch
-// boundary to prefetch flow-table lines across the whole burst.
+// datapath. The ingress side hands each packet up inside the delivery event
+// that brought it. It does not coalesce into rx bursts: a same-tick batch
+// would need a drain event keyed like the first delivery, and that drain
+// always pops straight after it, before any other arrival, so every batch
+// held one packet.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/packet.h"
 #include "net/port.h"
@@ -24,13 +23,6 @@ class Nic : public PacketSink {
 
   // Network -> host direction.
   void receive(PacketPtr packet) override;
-
-  // Ingress coalescing depth: up to kRxBurst same-tick packets are
-  // buffered and delivered as one receive_burst. The drain runs in the same
-  // simulated tick under a deterministic tie key, so delivery order and
-  // timing are those of packet-at-a-time forwarding; only the call shape
-  // changes.
-  static constexpr std::size_t kRxBurst = 32;
 
   // Host -> network direction (bottom of the datapath chain).
   PacketSink& tx() { return tx_port_; }
@@ -55,8 +47,6 @@ class Nic : public PacketSink {
                         const std::string& prefix) const;
 
  private:
-  void drain_rx();
-
   sim::Simulator* sim_;
   std::string name_;
   Port tx_port_;
@@ -65,9 +55,6 @@ class Nic : public PacketSink {
   std::uint32_t trace_source_ = 0;
   std::int64_t received_packets_ = 0;
   std::int64_t received_bytes_ = 0;
-  std::vector<PacketPtr> rx_buf_;
-  std::vector<PacketPtr> rx_batch_;  // drain_rx's batch; keeps its capacity
-  bool rx_drain_scheduled_ = false;
 };
 
 }  // namespace acdc::net

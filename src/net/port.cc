@@ -40,7 +40,12 @@ Port::Port(sim::Simulator* sim, std::string name, sim::Rate rate,
 void Port::send(PacketPtr packet) {
   packet->enqueued_at = sim_->now();
   if (!queue_->enqueue(std::move(packet))) return;
-  if (!transmitting_) start_transmission();
+  if (tx_done_scheduled_) return;
+  if (idle()) {
+    start_transmission();
+  } else {
+    schedule_tx_done();
+  }
 }
 
 void Port::set_trace(obs::FlightRecorder* recorder) {
@@ -56,7 +61,14 @@ void Port::register_metrics(obs::MetricsRegistry& registry) const {
   sojourn_ns_ = &registry.histogram(name_ + ".sojourn_ns");
 }
 
+void Port::schedule_tx_done() {
+  tx_done_scheduled_ = true;
+  sim_->schedule_at_reserved(tx_done_at_, tx_done_seq_,
+                             [this] { start_transmission(); });
+}
+
 void Port::start_transmission() {
+  tx_done_scheduled_ = false;
   PacketPtr packet = queue_->dequeue();
   if (packet == nullptr) {
     transmitting_ = false;
@@ -105,10 +117,10 @@ void Port::start_transmission() {
   }
   if (pcap_ != nullptr) pcap_->write(*packet, sim_->now());
 
-  // Deliver at tx + propagation; free the transmitter at tx. A remote peer
-  // (cross-shard link) takes the delivery time with the packet instead of a
-  // local event. Both paths carry the content-derived tie key so same-tick
-  // arrivals at the receiver order identically on either engine.
+  // Deliver at tx + propagation. A remote peer (cross-shard link) takes the
+  // delivery time with the packet instead of a local event. Both paths
+  // carry the content-derived tie key so same-tick arrivals at the receiver
+  // order identically on either engine.
   const std::uint64_t key = delivery_tie_key(*packet);
   if (remote_peer_ != nullptr) {
     remote_peer_->deliver(packet.release(),
@@ -121,7 +133,12 @@ void Port::start_transmission() {
                            if (peer != nullptr) peer->receive(std::move(p));
                          });
   }
-  sim_->schedule(tx, [this] { start_transmission(); });
+  // Free the transmitter at tx: reserve the tx-done's seq now (after the
+  // delivery's, as scheduling both here would), and schedule it only if a
+  // packet is waiting; send() schedules it if one arrives in time.
+  tx_done_at_ = sim_->now() + tx;
+  tx_done_seq_ = sim_->reserve_seq();
+  if (!queue_->empty()) schedule_tx_done();
   if (on_drain_) on_drain_();
 }
 

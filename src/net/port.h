@@ -1,6 +1,16 @@
 // A Port is a unidirectional transmitter: an egress queue drained at link
 // rate, followed by a fixed propagation delay to the peer's receive side.
 // Full-duplex links are a pair of Ports, one per direction.
+//
+// Tx-done events are scheduled only when they have work. Each transmission
+// start reserves the seq its tx-done would take (Simulator::reserve_seq)
+// and schedules the tx-done at (end of serialisation, unkeyed, that seq)
+// only if the queue still holds a packet, or once send() enqueues one
+// before the simulator has passed that position. A send() after the
+// position was passed finds the port logically idle and starts at once,
+// exactly as it would have after a tx-done that found the queue empty. So
+// every transmission starts on the same tick and in the same event order as
+// with an unconditional tx-done; the no-op ones just never run.
 #pragma once
 
 #include <cassert>
@@ -43,14 +53,23 @@ class Port : public PacketSink {
   // Re-homes the port onto a shard's simulator. Only legal while idle (no
   // transmission in progress), i.e. during partitioning before any traffic.
   void rebind_simulator(sim::Simulator* sim) {
-    assert(!transmitting_);
+    assert(idle());
+    transmitting_ = false;  // the new simulator's clock knows no tx-done
     sim_ = sim;
   }
   // Adjusts the propagation delay; only legal while idle, i.e. during
   // topology construction (per-link skew, exp::Scenario::attach).
   void set_propagation_delay(sim::Time delay) {
-    assert(!transmitting_);
+    assert(idle());
     propagation_delay_ = delay;
+  }
+
+  // No transmission in progress: none started, or the last one ended at a
+  // position the simulator has passed with nothing queued behind it.
+  bool idle() const {
+    return !transmitting_ ||
+           (!tx_done_scheduled_ &&
+            sim_->passed(tx_done_at_, sim::kUnkeyedTieKey, tx_done_seq_));
   }
 
   // Queues the packet for transmission (may drop per the queue's policy).
@@ -104,6 +123,7 @@ class Port : public PacketSink {
 
  private:
   void start_transmission();
+  void schedule_tx_done();
 
   sim::Simulator* sim_;
   std::string name_;
@@ -120,7 +140,13 @@ class Port : public PacketSink {
   // Observation channel, set from the const register_metrics (the registry
   // owns the histogram; recording does not change the port's logical state).
   mutable obs::Histogram* sojourn_ns_ = nullptr;
+  // transmitting_ is set from a transmission start until a tx-done finds
+  // the queue empty; without a scheduled tx-done the port is idle once the
+  // simulator passes (tx_done_at_, unkeyed, tx_done_seq_) (see idle()).
   bool transmitting_ = false;
+  bool tx_done_scheduled_ = false;
+  sim::Time tx_done_at_ = 0;
+  std::uint64_t tx_done_seq_ = 0;
   std::int64_t transmitted_packets_ = 0;
   std::int64_t transmitted_bytes_ = 0;
 };

@@ -123,7 +123,8 @@ void EventQueue::cancel(EventId id) {
 EventQueue::Next EventQueue::take_next() {
   assert(!heap_.empty());
   const std::uint32_t index = heap_[0].slot;
-  Next next{heap_[0].at, std::move(slots_[index].action)};
+  Next next{heap_[0].at, heap_[0].key, heap_[0].seq,
+            std::move(slots_[index].action)};
   remove_at(0);
   release_slot(index);
   ++executed_;

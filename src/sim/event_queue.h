@@ -23,6 +23,11 @@
 //    cross-shard delivery is inserted at mailbox-drain time, not at its
 //    causal schedule time). Keyed events order before unkeyed ones at the
 //    same timestamp.
+//  - reserve_seq() hands out the insertion sequence a schedule() would
+//    take, without scheduling anything. A caller that may not need its
+//    event (a port's tx-done when its queue is empty) reserves the seq and
+//    schedules later only if it must; the event then pops exactly where it
+//    would have had it been scheduled at reservation time.
 #pragma once
 
 #include <cstdint>
@@ -72,9 +77,15 @@ class EventQueue {
   // As above, but with a caller-supplied tie sequence instead of the
   // insertion counter. Used for cross-shard mail so (at, key) collisions
   // order deterministically regardless of drain timing; `tie_seq` must have
-  // kExplicitTieSeqBit set (see mail_tie_seq) and be unique per (at, key).
+  // kExplicitTieSeqBit set (see mail_tie_seq) and be unique per (at, key),
+  // or come from reserve_seq().
   EventId schedule(Time at, std::uint64_t key, std::uint64_t tie_seq,
                    EventAction action);
+
+  // Takes the next insertion sequence without scheduling. Passing it later
+  // as `tie_seq` (with any key) places the event where a schedule() made
+  // now would have placed it.
+  std::uint64_t reserve_seq() { return next_seq_++; }
 
   // Cancels a pending event. Cancelling an already-fired, already-cancelled
   // or invalid id is a no-op, which keeps timer bookkeeping in callers
@@ -89,6 +100,8 @@ class EventQueue {
 
   struct Next {
     Time at = 0;
+    std::uint64_t key = kUnkeyedTieKey;
+    std::uint64_t seq = 0;
     EventAction action;
   };
 

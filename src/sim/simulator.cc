@@ -35,6 +35,13 @@ EventId Simulator::schedule_at_keyed_seq(Time at, std::uint64_t key,
   return queue_.schedule(at, key, tie_seq, std::move(action));
 }
 
+EventId Simulator::schedule_at_reserved(Time at, std::uint64_t seq,
+                                        EventAction action) {
+  assert(at >= now_);
+  assert(!passed(at, kUnkeyedTieKey, seq));
+  return queue_.schedule(at, kUnkeyedTieKey, seq, std::move(action));
+}
+
 void Simulator::run() {
   while (step()) {
   }
@@ -47,6 +54,7 @@ void Simulator::run_until(Time deadline) {
     step();
   }
   if (now_ < deadline) now_ = deadline;
+  mark_run_through(deadline);
 }
 
 void Simulator::run_before(Time bound) {
@@ -61,6 +69,7 @@ bool Simulator::step() {
   if (queue_.empty()) return false;
   EventQueue::Next next = queue_.take_next();
   now_ = next.at;
+  raise_mark({next.at, next.key, next.seq});
   next.action();
   return true;
 }

@@ -20,9 +20,9 @@ namespace {
 
 TEST(FrameStream, CompletesFramesOnlyAtByteBoundaries) {
   FrameStream s;
-  s.push({.id = 1, .bytes = 100});
-  s.push({.id = 2, .bytes = 50});
-  s.push({.id = 3, .bytes = 200});
+  s.push({.id = 1, .bytes = 100, .server_cost = {}});
+  s.push({.id = 2, .bytes = 50, .server_cost = {}});
+  s.push({.id = 3, .bytes = 200, .server_cost = {}});
 
   // Partial delivery of the first frame completes nothing.
   EXPECT_TRUE(s.drain(99).empty());
@@ -42,7 +42,7 @@ TEST(FrameStream, CompletesFramesOnlyAtByteBoundaries) {
 TEST(FrameStream, DrainIsCumulativeAcrossManySmallDeliveries) {
   FrameStream s;
   for (std::uint64_t id = 1; id <= 8; ++id) {
-    s.push({.id = id, .bytes = 64});
+    s.push({.id = id, .bytes = 64, .server_cost = {}});
   }
   // Deliver one byte at a time; each frame must complete exactly once, at
   // exactly its boundary.

@@ -211,6 +211,76 @@ TEST(EventQueueStressTest, RearmChurnKeepsHeapAtLiveSize) {
   EXPECT_LE(q.slot_capacity(), 64u);
 }
 
+// Two queues fed the same random schedule; in `deferred` every fourth
+// event only reserves its seq and is scheduled later with it, at a random
+// point before it is due. The pop orders must be identical: a reserved
+// event lands exactly where scheduling it at reservation time would have.
+std::vector<int> reserve_run(std::uint64_t seed, bool defer) {
+  std::mt19937_64 rng(seed);
+  EventQueue q;
+  struct Held {
+    Time at;
+    std::uint64_t key;
+    std::uint64_t seq;
+    int tag;
+  };
+  std::vector<Held> held;
+  std::vector<int> executed;
+  Time now = 0;
+  std::uint64_t mail_seq = 0;
+  int tag = 0;
+  auto schedule_held = [&](std::size_t i) {
+    const Held h = held[i];
+    q.schedule(h.at, h.key, h.seq,
+               [&executed, t = h.tag] { executed.push_back(t); });
+    held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  for (int round = 0; round < 20'000; ++round) {
+    const int op = static_cast<int>(rng() % 10);
+    const std::uint64_t pick = rng();  // drawn every round: same stream
+    if (op < 6) {
+      const Time at = now + static_cast<Time>(rng() % 8);
+      const int kind = static_cast<int>(rng() % 4);
+      const std::uint64_t key = rng() % 3;
+      const int t = tag++;
+      EventAction action = [&executed, t] { executed.push_back(t); };
+      if (kind == 3) {
+        q.schedule(at, key, mail_tie_seq(1, mail_seq++), std::move(action));
+      } else if (t % 4 == 0 && defer) {
+        held.push_back({at, kind == 0 ? key : kUnkeyedTieKey, q.reserve_seq(),
+                        t});
+      } else if (kind == 0) {
+        q.schedule(at, key, std::move(action));
+      } else {
+        q.schedule(at, std::move(action));
+      }
+    } else if (op == 6) {
+      if (!held.empty()) schedule_held(pick % held.size());
+    } else if (!q.empty() || !held.empty()) {
+      // Every held event due no later than the head must be in the queue
+      // before the head pops.
+      const Time head = q.empty() ? kNoTime : q.next_time();
+      for (std::size_t i = held.size(); i-- > 0;) {
+        if (q.empty() || held[i].at <= head) schedule_held(i);
+      }
+      EventQueue::Next next = q.take_next();
+      now = next.at;
+      next.action();
+    }
+  }
+  for (std::size_t i = held.size(); i-- > 0;) schedule_held(i);
+  while (!q.empty()) q.take_next().action();
+  return executed;
+}
+
+TEST(EventQueueStressTest, ReservedSeqPopsWhereItWasReserved) {
+  const std::uint64_t seed = testlib::test_seed(11);
+  const std::vector<int> direct = reserve_run(seed, false);
+  const std::vector<int> deferred = reserve_run(seed, true);
+  EXPECT_GT(direct.size(), 10'000u);
+  EXPECT_EQ(direct, deferred);
+}
+
 TEST(EventQueueStressTest, SlotsRecycleInsteadOfGrowing) {
   EventQueue q;
   for (int round = 0; round < 100; ++round) {

@@ -109,6 +109,52 @@ TEST(SimulatorTest, RunUntilStopsAndSetsClock) {
   EXPECT_EQ(fired, 2);
 }
 
+// passed() answers whether an event at a reserved position would already
+// have run: once a later position pops, even if a still later-scheduled
+// keyed event at the same tick then pops below it, and once run_until or
+// advance_to moved the clock to its tick.
+TEST(SimulatorTest, PassedTracksTheGreatestRunPosition) {
+  Simulator sim;
+  const std::uint64_t reserved = sim.reserve_seq();
+  EXPECT_FALSE(sim.passed(10, kUnkeyedTieKey, reserved));
+  bool checked = false;
+  sim.schedule_at(10, [&] {
+    EXPECT_TRUE(sim.passed(10, kUnkeyedTieKey, reserved));
+    sim.schedule_keyed(0, 3, [&] {
+      EXPECT_TRUE(sim.passed(10, kUnkeyedTieKey, reserved));
+      EXPECT_FALSE(sim.passed(10, kUnkeyedTieKey, sim.reserve_seq()));
+      checked = true;
+    });
+  });
+  sim.schedule_at_keyed(10, 7, [&] {
+    EXPECT_FALSE(sim.passed(10, kUnkeyedTieKey, reserved));
+    EXPECT_TRUE(sim.passed(10, 7, 0));
+    EXPECT_FALSE(sim.passed(10, 8, 0));
+  });
+  sim.run();
+  EXPECT_TRUE(checked);
+
+  const std::uint64_t later = sim.reserve_seq();
+  EXPECT_FALSE(sim.passed(20, kUnkeyedTieKey, later));
+  sim.run_until(19);
+  EXPECT_FALSE(sim.passed(20, 0, later));
+  sim.advance_to(20);
+  EXPECT_TRUE(sim.passed(20, kUnkeyedTieKey, later));
+}
+
+TEST(SimulatorTest, ReservedEventRunsAtItsReservedPosition) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(10, [&] { order.push_back(1); });
+  const std::uint64_t seq = sim.reserve_seq();
+  sim.schedule_at(10, [&] { order.push_back(3); });
+  sim.schedule_at(5, [&] {
+    sim.schedule_at_reserved(10, seq, [&] { order.push_back(2); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(SimulatorTest, CancelTimer) {
   Simulator sim;
   bool ran = false;
